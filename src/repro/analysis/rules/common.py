@@ -33,11 +33,18 @@ PAYLOAD_MODULES: tuple[str, ...] = (
     "src/repro/extract/pipeline.py",
 )
 
-#: The one blessed ``hash()``-free stable-sharding site (it uses crc32,
-#: but the function is also the only place a builtin ``hash`` fallback
-#: would ever be contemplated).
+#: ``(path, function)`` sites where a builtin ``hash()`` call is allowed:
+#:
+#: - ``shard_for_key`` is the stable-sharding site (it uses crc32, but the
+#:   function is also the only place a builtin ``hash`` fallback would
+#:   ever be contemplated).
+#: - ``Triple.__hash__`` caches ``hash((subject, predicate, obj))``.  The
+#:   value only feeds in-process dict/set membership, equals what the
+#:   stock dataclass hash made, and is never pickled, so no output or
+#:   shard assignment depends on it.
 APPROVED_HASH_SITES: tuple[tuple[str, str], ...] = (
     ("src/repro/mapreduce/executors.py", "shard_for_key"),
+    ("src/repro/kb/triples.py", "__hash__"),
 )
 
 

@@ -29,21 +29,57 @@ class DataItem:
         return self.canonical()
 
 
+class _KeyCache:
+    """Slots for :class:`Triple`'s lazily filled canonical key and hash.
+
+    They live on a base class, not as dataclass fields, so
+    ``dataclasses.fields(Triple)`` stays ``(subject, predicate, obj)``:
+    both the stock pickler (the slotted dataclass's ``__getstate__``)
+    and the artifact pickler (``cls(*fields)``) ship the fields only.
+    """
+
+    __slots__ = ("_canonical", "_hash")
+
+
 @dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(_KeyCache):
     """An RDF-style knowledge triple.
 
     ``subject`` is an entity id (mid-style string), ``predicate`` a predicate
     id from the schema, and ``obj`` a typed :data:`~repro.kb.values.Value`.
     Triples are frozen and hashable so they can key dictionaries throughout
-    the fusion pipeline.  Ordering compares canonical strings, because the
-    same data item can mix object kinds (an extractor's raw-string fallback
-    next to a linked entity) and field-wise comparison would fail there.
+    the fusion pipeline.
+
+    Key contract:
+
+    - Ordering compares canonical strings, because the same data item can
+      mix object kinds (an extractor's raw-string fallback next to a
+      linked entity) and field-wise comparison would fail there.
+      Equality stays field-wise.
+    - The hash is ``hash((subject, predicate, obj))``, the number the
+      stock dataclass hash gives, so set and dict iteration orders do not
+      depend on the cache.  Like any ``str`` hash it is per-process; it is
+      never pickled and is rebuilt on the other side of a process or
+      artifact boundary.
+    - Both are computed the first time they are asked for and cached on
+      the instance.  They are filled lazily, not in ``__post_init__``, so
+      construction costs what it did without a cache: building a
+      ``small`` world constructs ~22k triples, hashes ~4k of them and
+      sorts none, while the fusion rounds over a scenario's claims hash
+      the same few thousand triples about a million times.
     """
 
     subject: str
     predicate: str
     obj: Value
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.subject, self.predicate, self.obj))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __lt__(self, other: "Triple") -> bool:
         if not isinstance(other, Triple):
@@ -70,7 +106,12 @@ class Triple:
         return DataItem(self.subject, self.predicate)
 
     def canonical(self) -> str:
-        return f"{self.subject}|{self.predicate}|{self.obj.canonical()}"
+        try:
+            return self._canonical
+        except AttributeError:
+            key = f"{self.subject}|{self.predicate}|{self.obj.canonical()}"
+            object.__setattr__(self, "_canonical", key)
+            return key
 
     @staticmethod
     def from_canonical(text: str) -> "Triple":

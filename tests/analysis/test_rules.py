@@ -146,6 +146,30 @@ class TestDET002Order:
             {"src/repro/mapreduce/executors.py": snippet}, DET002
         ) == []
 
+    def test_good_hash_in_triple_hash(self):
+        snippet = (
+            "class Triple:\n"
+            "    def __hash__(self):\n"
+            "        return hash((self.subject, self.predicate, self.obj))\n"
+        )
+        assert _rules_fired({"src/repro/kb/triples.py": snippet}, DET002) == []
+
+    def test_bad_hash_elsewhere_in_triples_module(self):
+        # The approval names one function, not the file: hash() in any
+        # other function, or at class/module level, still flags.
+        snippet = (
+            "class Triple:\n"
+            "    def __hash__(self):\n"
+            "        return hash((self.subject, self.predicate))\n"
+            "    def shard(self, n):\n"
+            "        return hash(self) % n\n"
+            "SEED = hash('triples')\n"
+        )
+        assert _rules_fired({"src/repro/kb/triples.py": snippet}, DET002) == [
+            "DET002",
+            "DET002",
+        ]
+
 
 class TestDET003Payload:
     def test_bad_ndarray_field(self):

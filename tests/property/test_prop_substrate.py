@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 from repro.kb.hierarchy import ValueHierarchy
 from repro.kb.store import KnowledgeBase
 from repro.kb.triples import Triple
-from repro.kb.values import NumberValue, StringValue, parse_value
+from repro.kb.values import (
+    DateValue,
+    EntityRef,
+    NumberValue,
+    StringValue,
+    parse_value,
+)
 from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
 from repro.rng import named_rng, stream_seed, zipf_weights
 
@@ -36,6 +42,83 @@ class TestValueProperties:
         once = NumberValue(float(x))
         twice = NumberValue(once.value)
         assert once == twice
+
+
+values = st.one_of(
+    st.builds(EntityRef, st.sampled_from(["/m/1", "/m/2", "/m/0x"])),
+    st.builds(StringValue, text),
+    st.builds(
+        NumberValue,
+        st.floats(allow_nan=False, allow_infinity=False, width=32),
+    ),
+    st.builds(
+        DateValue,
+        st.dates().map(lambda d: d.isoformat()),
+    ),
+)
+# A few subjects and predicates, so one data item often mixes value kinds.
+triples = st.builds(
+    Triple,
+    st.sampled_from(["/m/1", "/m/2", "/m/1|x"]),
+    st.sampled_from(["p", "q", "x|p"]),
+    values,
+)
+
+
+def _cold(triple: Triple) -> Triple:
+    """An equal triple built independently, with empty key caches."""
+    return Triple(triple.subject, triple.predicate, triple.obj)
+
+
+def _observe(batch: list[Triple]) -> tuple:
+    """Everything the key contract exposes about ``batch``."""
+    return (
+        [hash(t) for t in batch],
+        [t.canonical() for t in batch],
+        [batch.index(t) for t in sorted(batch)],
+        [
+            (a < b, a <= b, a > b, a >= b, a == b)
+            for a in batch
+            for b in batch
+        ],
+        len(set(batch)),
+    )
+
+
+class TestTripleKeyContract:
+    @given(st.lists(triples, min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_hash_is_the_field_tuple_hash(self, batch):
+        for triple in batch:
+            assert hash(triple) == hash((triple.subject, triple.predicate, triple.obj))
+
+    @given(st.lists(triples, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_sorted_order_is_canonical_string_order(self, batch):
+        assert sorted(batch) == sorted(batch, key=lambda t: t.canonical())
+        assert [t.canonical() for t in sorted(batch)] == sorted(
+            t.canonical() for t in batch
+        )
+
+    @given(triples)
+    @settings(max_examples=150, deadline=None)
+    def test_independently_built_equal_triples_collapse(self, triple):
+        # Warm one side's caches; the clone stays cold.
+        hash(triple)
+        triple.canonical()
+        clone = _cold(triple)
+        assert clone == triple
+        assert hash(clone) == hash(triple)
+        assert len({triple, clone}) == 1
+        assert {triple: 1}[clone] == 1
+
+    @given(st.lists(triples, min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_results_do_not_depend_on_cache_state(self, batch):
+        batch = [_cold(t) for t in batch]
+        first = _observe(batch)  # fills every cache
+        assert _observe(batch) == first
+        assert _observe([_cold(t) for t in batch]) == first
 
 
 class TestStoreProperties:
