@@ -8,8 +8,7 @@ This module turns those envelopes into a durable contract:
   numbers — per-stage best-of-N seconds keyed by an **environment
   fingerprint** (python major.minor + machine + cpu count + workers),
   plus the structural facts the case must keep reproducing (the stage
-  key set and the contract keys: parity, sampling, round-state mode,
-  workload shape).
+  key set and the contract keys: parity, sampling, workload shape).
 - :func:`compare_envelope` diffs a fresh envelope against the baseline.
   **Structural drift is always an error**: a missing or new stage key, a
   changed parity/sampling contract, a changed scale/seed/workload.
@@ -60,14 +59,13 @@ TOLERANCE_FLOOR_SECONDS = 0.25
 
 #: Report keys that form the structural contract when present.  These
 #: are facts a case must keep reproducing exactly — parity/sampling
-#: contracts, round-state residency, and the deterministic workload
-#: shape — never timings (``vectorized_speedup`` et al. stay out).
+#: contracts and the deterministic workload shape — never timings
+#: (``vectorized_speedup`` et al. stay out).
 CONTRACT_KEYS = (
     "bit_identical",
     "hybrid_parity",
     "sampling",
     "backend_used",
-    "round_state",
     "sample_limit",
     "n_pages",
     "n_records",
@@ -264,7 +262,7 @@ def compare_envelope(
                 f"{baseline.get(key)!r} -> {envelope.get(key)!r}"
             )
 
-    # Contract keys: parity/sampling/round-state/workload facts.
+    # Contract keys: parity/sampling/workload facts.
     contracts = _contracts_of(envelope)
     base_contracts = baseline.get("contracts") or {}
     for key, base_value in sorted(base_contracts.items()):

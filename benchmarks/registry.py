@@ -10,8 +10,8 @@ Three kinds of case live here:
 - **stage** cases (``pipeline``, ``backends``, ``sampling``,
   ``extraction``) — the performance benchmarks proper.  Each one
   *asserts its backends' documented parity contract* (serial == parallel
-  bitwise; vectorized/hybrid within the 1e-9
-  ``repro.fusion.PARITY_TOLERANCE_ABS`` tolerance) **before** reporting a
+  pipeline bitwise; vectorized fusion and the hybrid pipeline within the
+  1e-9 ``repro.fusion.PARITY_TOLERANCE_ABS`` tolerance) **before** reporting a
   single timing, so a comparison can never quietly measure two different
   computations.
 - **experiment** cases (``fig3`` … ``fig22``, ``table1`` … ``table3``) —
@@ -32,7 +32,6 @@ returns a JSON-serializable report the runner wraps into
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import platform
 import time
@@ -207,14 +206,16 @@ def _best_of(fn, rounds: int = TIMING_ROUNDS) -> float:
 
 @register(
     "pipeline",
-    "end-to-end per-stage wall-clock: serial vs parallel vs hybrid on one "
-    "shared executor each (serial==parallel asserted bitwise, hybrid "
-    "metrics within 1e-9, before any timing is reported)",
+    "end-to-end per-stage wall-clock: serial vs parallel vs hybrid "
+    "pipelines, pooled extraction on the shared executor and in-process "
+    "fusion (serial==parallel asserted bitwise, hybrid metrics within "
+    "1e-9, before any timing is reported)",
 )
 def pipeline_case(ctx: BenchContext) -> dict:
     """Port of the old ``bench_pipeline.py`` script mode.
 
-    The parallel and hybrid runs share the context's warm executor; the
+    The parallel and hybrid runs extract on the context's warm executor
+    and fuse in-process (hybrid with the vectorized fusion backend); the
     serial run owns a throwaway ``SerialExecutor`` as before.  The report
     is the artifact the ROADMAP speedup numbers (and the CI
     ``perf-crossover`` lane) come from.
@@ -246,7 +247,7 @@ def pipeline_case(ctx: BenchContext) -> dict:
     assert serial.fusion.probabilities == parallel.fusion.probabilities
     assert serial.fusion.accuracies == parallel.fusion.accuracies
     assert serial.scenario.records == parallel.scenario.records
-    assert hybrid.fusion.diagnostics["backend_used"] == "hybrid"
+    assert hybrid.fusion.diagnostics["backend_used"] == "vectorized"
     assert hybrid.scenario.records == serial.scenario.records
     hybrid_metric_delta = max(
         abs(hybrid.metrics[name] - value) for name, value in serial.metrics.items()
@@ -304,7 +305,6 @@ def pipeline_case(ctx: BenchContext) -> dict:
         "scenario_cache": serial.diagnostics.get("scenario_cache", "off"),
         "hybrid_parity": hybrid.fusion.diagnostics["parity"],
         "hybrid_max_metric_delta": hybrid_metric_delta,
-        "round_state": parallel.diagnostics.get("round_state"),
         "stages": {
             "serial": round3(serial.timings),
             "parallel": round3(parallel.timings),
@@ -313,7 +313,6 @@ def pipeline_case(ctx: BenchContext) -> dict:
         "parallel_fallbacks": {
             "tiny": parallel.diagnostics.get("fallbacks_tiny", 0),
             "unpicklable": parallel.diagnostics.get("fallbacks_unpicklable", 0),
-            "shm": parallel.diagnostics.get("fallbacks_shm", 0),
         },
         "metrics": {name: round(v, 6) for name, v in serial.metrics.items()},
     }
@@ -371,12 +370,10 @@ def _streaming_pipeline_case(ctx: BenchContext) -> dict:
         "peak_rss_mb": round(peak, 1),
         "rss_ceiling_mb": WEB_PEAK_RSS_CEILING_MB,
         "hybrid_parity": diagnostics["parity"],
-        "round_state": diagnostics.get("round_state"),
         "state_bytes_shipped": diagnostics.get("state_bytes_shipped"),
         "parallel_fallbacks": {
             "tiny": diagnostics.get("fallbacks_tiny", 0),
             "unpicklable": diagnostics.get("fallbacks_unpicklable", 0),
-            "shm": diagnostics.get("fallbacks_shm", 0),
         },
         "stages": {
             "hybrid": {
@@ -390,47 +387,30 @@ def _streaming_pipeline_case(ctx: BenchContext) -> dict:
 
 @register(
     "backends",
-    "one POPACCU round under all four fusion backends on the shared warm "
-    "executor (parallel bitwise, vectorized/hybrid 1e-9, vectorized >= 3x "
-    "serial) -> results/backends.txt",
+    "one POPACCU round under both fusion backends (vectorized within 1e-9 "
+    "of serial and >= 3x faster) -> results/backends.txt",
 )
 def backends_case(ctx: BenchContext) -> dict:
-    from repro.fusion import FusionConfig, popaccu
+    from repro.fusion import BACKENDS, FusionConfig, popaccu
 
     fusion_input = ctx.scenario().fusion_input()
-    executor = ctx.executor()
 
     def run(backend: str):
         config = FusionConfig(max_rounds=1, convergence_tol=0.0, backend=backend)
-        if backend in ("parallel", "hybrid"):
-            return popaccu(config).fuse(fusion_input, executor=executor)
         return popaccu(config).fuse(fusion_input)
 
-    # Warm the shared caches (claim matrix + columnar index + pool) once,
-    # the way any multi-round fusion run would.
-    results = {
-        backend: run(backend)
-        for backend in ("serial", "parallel", "vectorized", "hybrid")
-    }
+    # Warm the shared caches (claim matrix + columnar index) once, the
+    # way any multi-round fusion run would.
+    results = {backend: run(backend) for backend in BACKENDS}
     assert results["vectorized"].diagnostics["backend_used"] == "vectorized"
-    assert results["hybrid"].diagnostics["backend_used"] == "hybrid"
 
-    # Parity before timing.  Parallel is bit-identical under fork
-    # (spawn-only platforms agree to the last ulp — see
-    # repro.mapreduce.executors); vectorized and hybrid honour the 1e-9
-    # tolerance contract.
+    # Parity before timing: vectorized honours the 1e-9 tolerance contract.
     serial = results["serial"]
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert results["parallel"].probabilities == serial.probabilities
-    else:  # pragma: no cover - spawn-only platforms
-        for triple, probability in serial.probabilities.items():
-            assert abs(results["parallel"].probabilities[triple] - probability) < 1e-12
     max_delta = 0.0
-    for backend in ("vectorized", "hybrid"):
-        for triple, probability in serial.probabilities.items():
-            delta = abs(results[backend].probabilities[triple] - probability)
-            max_delta = max(max_delta, delta)
-            assert delta <= TOLERANCE_PARITY_ABS, (backend, triple)
+    for triple, probability in serial.probabilities.items():
+        delta = abs(results["vectorized"].probabilities[triple] - probability)
+        max_delta = max(max_delta, delta)
+        assert delta <= TOLERANCE_PARITY_ABS, triple
 
     timings = {backend: _best_of(lambda b=backend: run(b)) for backend in results}
     speedup = timings["serial"] / timings["vectorized"]
@@ -453,21 +433,19 @@ def backends_case(ctx: BenchContext) -> dict:
         "timings_ms": {b: round(s * 1000, 1) for b, s in timings.items()},
         "vectorized_speedup": round(speedup, 2),
         "tolerance_max_delta": max_delta,
-        "round_state": results["parallel"].diagnostics.get("round_state"),
         "n_triples": len(serial.probabilities),
     }
 
 
 @register(
     "sampling",
-    "an L-sampled POPACCU round: canonical-order sampling keeps the "
-    "parallel backend engaged and bit-identical -> results/sampling.txt",
+    "an L-sampled POPACCU round: a vectorized request falls back to the "
+    "serial reference, bit-identical -> results/sampling.txt",
 )
 def sampling_case(ctx: BenchContext) -> dict:
-    from repro.fusion import FusionConfig, popaccu
+    from repro.fusion import BACKENDS, FusionConfig, popaccu
 
     fusion_input = ctx.scenario().fusion_input()
-    executor = ctx.executor()
     # Engage sampling on a meaningful fraction of items without gutting
     # the workload (the small scenario's largest items carry ~40 claims).
     sample_limit = 5
@@ -479,18 +457,17 @@ def sampling_case(ctx: BenchContext) -> dict:
             backend=backend,
             sample_limit=sample_limit,
         )
-        if backend == "parallel":
-            return popaccu(config).fuse(fusion_input, executor=executor)
         return popaccu(config).fuse(fusion_input)
 
-    results = {backend: run(backend) for backend in ("serial", "parallel")}
-    parallel = results["parallel"]
-    assert parallel.diagnostics["backend_used"] == "parallel", (
-        "sampling must no longer force the serial fallback"
+    results = {backend: run(backend) for backend in BACKENDS}
+    fallback = results["vectorized"]
+    assert fallback.diagnostics["backend_used"] == "serial (vectorized fallback)", (
+        "the batched kernels cannot subset per item: sampling must run "
+        "the serial reference"
     )
-    assert parallel.diagnostics["sampling"] == "canonical-order"
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert parallel.probabilities == results["serial"].probabilities
+    assert fallback.diagnostics["sampling"] == "canonical-order"
+    assert fallback.probabilities == results["serial"].probabilities
+    assert fallback.accuracies == results["serial"].accuracies
 
     timings = {backend: _best_of(lambda b=backend: run(b)) for backend in results}
     lines = [
@@ -500,16 +477,16 @@ def sampling_case(ctx: BenchContext) -> dict:
             f"{backend:>12}: {seconds * 1000:9.1f} ms"
             for backend, seconds in sorted(timings.items(), key=lambda kv: kv[1])
         ),
-        f"parallel backend_used: {parallel.diagnostics['backend_used']} "
-        "(no serial fallback)",
+        f"vectorized backend_used: {fallback.diagnostics['backend_used']} "
+        "(bit-identical to serial)",
     ]
     (ctx.results_dir / "sampling.txt").write_text("\n".join(lines) + "\n")
     return {
         "sample_limit": sample_limit,
         "best_of": {b: round(s, 4) for b, s in timings.items()},
         "timings_ms": {b: round(s * 1000, 1) for b, s in timings.items()},
-        "backend_used": parallel.diagnostics["backend_used"],
-        "sampling": parallel.diagnostics["sampling"],
+        "backend_used": fallback.diagnostics["backend_used"],
+        "sampling": fallback.diagnostics["sampling"],
     }
 
 

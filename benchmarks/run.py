@@ -177,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{name}: FAILED — {error}", file=sys.stderr)
                 continue
             except Exception as error:
-                # Any other exception (registry KeyError, shm
+                # Any other exception (registry KeyError,
                 # FileNotFoundError, ...) must not abort the whole run:
                 # record it, keep going, exit non-zero at the end.
                 failures.append(name)

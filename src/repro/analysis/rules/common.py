@@ -18,7 +18,6 @@ KERNEL_MODULES: tuple[str, ...] = (
     "src/repro/fusion/vote.py",
     "src/repro/fusion/kernels.py",
     "src/repro/fusion/runner.py",
-    "src/repro/fusion/shuffle.py",
     "src/repro/extract/kernels.py",
     "src/repro/extract/synthesis.py",
     "src/repro/mapreduce/engine.py",
@@ -29,7 +28,6 @@ KERNEL_MODULES: tuple[str, ...] = (
 #: Modules that define ``*Shard`` payload dataclasses shipped over the
 #: pool wire; DET003 audits their field annotations.
 PAYLOAD_MODULES: tuple[str, ...] = (
-    "src/repro/fusion/shuffle.py",
     "src/repro/extract/pipeline.py",
 )
 

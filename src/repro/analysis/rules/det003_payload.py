@@ -2,13 +2,12 @@
 
 Shard payloads (the ``*Shard`` dataclasses in
 :data:`~repro.analysis.rules.common.PAYLOAD_MODULES`) cross the pool
-wire on every round.  The runtime audit (``scan_payload_types``) rejects
+wire on every dispatch.  The runtime audit (``scan_payload_types``) rejects
 numpy buffers and rich domain objects at execution time; this rule is
 its static companion — it reads the dataclass *field annotations* so a
 smuggled ``np.ndarray`` or ``Claim`` fails review, not a parity test
-three PRs later.  Allowed: primitives, ids, containers of the same, and
-the two pointer types workers dereference locally — the ~300-byte
-``RoundStateHandle`` (shared-memory segments) and the
+much later.  Allowed: primitives, ids, containers of the same, and the
+one pointer type workers dereference locally — the ~300-byte
 :class:`~repro.artifacts.ColumnHandle` (memory-mapped claim columns on
 disk).
 """
@@ -51,7 +50,6 @@ ALLOWED_TYPE_NAMES = {
     "Mapping",
     "Iterable",
     "Literal",
-    "RoundStateHandle",
     "ColumnHandle",
 }
 
@@ -123,7 +121,7 @@ def _check_file(source: SourceFile) -> Iterator[Finding]:
                     RULE_ID,
                     f"payload field {node.name}.{field} is annotated with "
                     f"'{bad}', which is not a primitive/id/handle type; "
-                    "ship ids + a RoundStateHandle instead",
+                    "ship ids (or a ColumnHandle) instead",
                 )
 
 

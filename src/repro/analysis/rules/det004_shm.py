@@ -4,14 +4,13 @@ Two leak classes break long-lived runs and cross-test isolation:
 
 - a ``SharedMemory(create=True)`` segment with no ``.unlink()`` anywhere
   in the module leaks ``/dev/shm`` space until reboot;
-- an ``install_state(key, ...)`` / ``install_round_state(key, ...)``
-  with no matching ``uninstall_state(key)`` /
-  ``uninstall_round_state(key)`` in the same module leaves stale state
+- an ``install_state(key, ...)`` with no matching
+  ``uninstall_state(key)`` in the same module leaves stale state
   resident in worker pools, silently re-shipped on the next pool
   restart.
 
 The pairing check is module-local and key-aware: the uninstall for
-``FUSION_ROUND_KEY`` must live next to its install so the lifecycle is
+``EXTRACT_FLEET_KEY`` must live next to its install so the lifecycle is
 auditable in one screenful.  Keys are compared after normalising the
 first argument (string constant, Name, or ``module.CONST`` attribute).
 """
@@ -27,7 +26,6 @@ RULE_ID = "DET004"
 
 _CHANNELS = {
     "install_state": "uninstall_state",
-    "install_round_state": "uninstall_round_state",
 }
 
 

@@ -12,20 +12,20 @@ Usage::
 
 The scenario is generated deterministically from the seed; the first
 experiment of a session pays the generation cost, later ones share it.
-``fuse`` runs a single fusion method end-to-end under a chosen execution
-backend (serial scalar, process-pool parallel, or vectorized columnar) and
-prints a one-screen summary — the quickest way to compare backends.
+``fuse`` runs a single fusion method end-to-end under a chosen fusion
+backend (scalar ``serial`` or batched ``vectorized``) and prints a
+one-screen summary — the quickest way to compare the two.
 ``extract`` runs only the extraction stage (world + corpus generation, then
-the 12 extractors) under a serial or parallel backend, timing the stage and
-reporting record/error counts plus the parallel executor's fallback
-counters; the record stream is bit-identical across backends.
-``pipeline`` runs the whole thing — extraction → gold labeling → fusion —
-on a *single shared executor* (one worker pool for both stages; see
-:func:`repro.endtoend.run_end_to_end`), printing per-stage timings and the
-headline metrics; ``serial`` and ``parallel`` output is bit-identical,
-``hybrid`` (batched fusion kernels inside each parallel shard) honours
-the 1e-9 tolerance parity contract — the reported ``parity`` line says
-which applied.
+the 12 extractors) under a chosen extraction backend, timing the stage and
+reporting record/error counts plus, on a process pool, the executor's
+fallback counters; the record stream is bit-identical across backends.
+``pipeline`` runs the whole thing — extraction → gold labeling → fusion
+(see :func:`repro.endtoend.run_end_to_end`) — printing per-stage timings
+and the headline metrics.  Its backend picks the extraction mode; fusion
+runs in-process, ``vectorized`` under ``hybrid`` and ``serial``
+otherwise, so ``serial``/``batched``/``parallel`` output is bit-identical
+and ``hybrid`` honours the 1e-9 tolerance parity contract — the reported
+``parity`` line says which applied.
 """
 
 from __future__ import annotations
@@ -100,12 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scenario preset (default: small)",
     )
     fuse_parser.add_argument("--seed", type=int, default=0, help="master seed")
-    fuse_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the parallel backend (default: CPU count)",
-    )
 
     extract_parser = sub.add_parser(
         "extract", help="run the extraction stage under a chosen backend"
@@ -132,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pipeline_parser = sub.add_parser(
         "pipeline",
-        help="run extraction → fusion end-to-end on one shared executor",
+        help="run extraction → gold labeling → fusion end-to-end",
     )
     pipeline_parser.add_argument(
         "method",
@@ -145,8 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=PIPELINE_BACKENDS,
         default="serial",
-        help="execution backend for both stages (default: serial); "
-        "hybrid = parallel extraction + batched in-shard fusion kernels",
+        help="extraction backend (default: serial); fusion runs in-process, "
+        "vectorized under hybrid and serial otherwise",
     )
     pipeline_parser.add_argument(
         "--scale",
@@ -226,18 +220,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_pool_diagnostics(diagnostics: dict) -> None:
+    """The worker and fallback lines of a process-pool run (else none)."""
+    if "n_workers" in diagnostics:
+        print(f"workers:       {diagnostics['n_workers']}")
+    if "fallbacks_tiny" in diagnostics:
+        print(
+            f"fallbacks:     {diagnostics['fallbacks_tiny']} tiny, "
+            f"{diagnostics['fallbacks_unpicklable']} unpicklable"
+        )
+
+
 def _run_fuse(args) -> int:
     from repro.endtoend import make_fuser
-    from repro.errors import ConfigError
     from repro.fusion import FusionConfig
 
-    try:
-        config = FusionConfig(
-            seed=args.seed, backend=args.backend, n_workers=args.workers
-        )
-    except ConfigError as err:
-        print(f"repro-kf fuse: error: {err}", file=sys.stderr)
-        return 2
+    config = FusionConfig(seed=args.seed, backend=args.backend)
     scenario = build_scenario(_SCALES[args.scale](seed=args.seed))
     fuser = make_fuser(args.method, config, scenario.gold)
 
@@ -250,14 +248,6 @@ def _run_fuse(args) -> int:
     print(f"backend used:  {result.diagnostics.get('backend_used', 'serial')}")
     print(f"parity:        {result.diagnostics.get('parity', 'bitwise')}")
     print(f"sampling:      {result.diagnostics.get('sampling', 'unbounded')}")
-    if "round_state" in result.diagnostics:
-        print(f"round state:   {result.diagnostics['round_state']}")
-    if "fallbacks_tiny" in result.diagnostics:
-        print(
-            f"fallbacks:     {result.diagnostics['fallbacks_tiny']} tiny, "
-            f"{result.diagnostics['fallbacks_unpicklable']} unpicklable, "
-            f"{result.diagnostics.get('fallbacks_shm', 0)} shm"
-        )
     print(f"fusion time:   {elapsed:.3f}s")
     print(f"rounds:        {result.rounds} (converged: {result.converged})")
     print(f"triples:       {len(result.probabilities)}")
@@ -272,6 +262,7 @@ def _run_fuse(args) -> int:
 def _run_extract(args) -> int:
     from collections import Counter
 
+    from repro.endtoend import extraction_diagnostics
     from repro.mapreduce.executors import ParallelExecutor, SerialExecutor
     from repro.world.webgen import generate_corpus
     from repro.world.worldgen import generate_world
@@ -298,13 +289,11 @@ def _run_extract(args) -> int:
     per_extractor = Counter(record.extractor for record in records)
     errors = sum(1 for record in records if record.is_extraction_error)
     top = ", ".join(f"{name}:{n}" for name, n in per_extractor.most_common(4))
+    diagnostics = extraction_diagnostics(pipeline, executor, args.backend)
     fallbacks = pipeline.synthesis_fallbacks()
-    synthesis = (
-        "batched" if args.backend in ("batched", "hybrid") else "scalar"
-    )
     print(f"backend:       {args.backend}")
     print(
-        f"synthesis:     {synthesis}"
+        f"synthesis:     {diagnostics['extraction_synthesis']}"
         + (f" (scalar fallback: {', '.join(fallbacks)})" if fallbacks else "")
     )
     print(f"pages:         {len(corpus.pages)} ({len(corpus.sites)} sites)")
@@ -316,13 +305,7 @@ def _run_extract(args) -> int:
     print(f"records:       {len(records)} (top extractors: {top})")
     if records:
         print(f"error records: {errors} ({errors / len(records):.1%})")
-    if isinstance(executor, ParallelExecutor):
-        print(f"workers:       {executor.max_workers}")
-        print(
-            f"fallbacks:     {executor.fallbacks_tiny} tiny, "
-            f"{executor.fallbacks_unpicklable} unpicklable, "
-            f"{executor.fallbacks_shm} shm"
-        )
+    _print_pool_diagnostics(diagnostics)
     return 0
 
 
@@ -349,17 +332,8 @@ def _run_streaming_pipeline(args) -> int:
     print(f"backend used:  {diagnostics.get('backend_used', 'serial')}")
     print(f"parity:        {diagnostics.get('parity', 'bitwise')}")
     print(f"sampling:      {diagnostics.get('sampling', 'unbounded')}")
-    if "round_state" in diagnostics:
-        print(f"round state:   {diagnostics['round_state']}")
     print(f"column store:  {diagnostics['column_store']}")
-    if "n_workers" in diagnostics:
-        print(f"workers:       {diagnostics['n_workers']}")
-    if "fallbacks_tiny" in diagnostics:
-        print(
-            f"fallbacks:     {diagnostics['fallbacks_tiny']} tiny, "
-            f"{diagnostics['fallbacks_unpicklable']} unpicklable, "
-            f"{diagnostics.get('fallbacks_shm', 0)} shm"
-        )
+    _print_pool_diagnostics(diagnostics)
     print(
         f"pages:         {result.n_pages} -> records: {result.n_records} "
         f"({diagnostics['n_chunks']} chunks of {diagnostics['chunk_pages']})"
@@ -401,17 +375,8 @@ def _run_pipeline(args) -> int:
     print(f"backend used:  {diagnostics.get('backend_used', 'serial')}")
     print(f"parity:        {diagnostics.get('parity', 'bitwise')}")
     print(f"sampling:      {diagnostics.get('sampling', 'unbounded')}")
-    if "round_state" in diagnostics:
-        print(f"round state:   {diagnostics['round_state']}")
     print(f"scenario cache: {diagnostics.get('scenario_cache', 'off')}")
-    if "n_workers" in diagnostics:
-        print(f"workers:       {diagnostics['n_workers']}")
-    if "fallbacks_tiny" in diagnostics:
-        print(
-            f"fallbacks:     {diagnostics['fallbacks_tiny']} tiny, "
-            f"{diagnostics['fallbacks_unpicklable']} unpicklable, "
-            f"{diagnostics.get('fallbacks_shm', 0)} shm"
-        )
+    _print_pool_diagnostics(diagnostics)
     print(
         f"pages:         {diagnostics['n_pages']} "
         f"-> records: {diagnostics['n_records']}"

@@ -1,26 +1,26 @@
-"""The end-to-end pipeline: extraction → fusion on one shared executor.
+"""The end-to-end pipeline: extraction → gold labeling → fusion.
 
 The paper's system is one pipeline — extract triples from a web corpus,
-then fuse them — and both stages here run on the same executor protocol
-(:mod:`repro.mapreduce.executors`).  :func:`run_end_to_end` wires that up
-explicitly: a single :class:`~repro.mapreduce.executors.ParallelExecutor`
-(or :class:`~repro.mapreduce.executors.SerialExecutor`) carries the
-extraction shards *and* every fusion round, so worker processes are paid
-for once per run, not once per stage.  Pool-resident state makes the
-hand-off cheap: extraction installs the 12-extractor fleet, fusion
-installs the columnar claim index; the pool restarts exactly once at the
-stage boundary and never re-ships state per shard.
+then fuse them.  :func:`run_end_to_end` runs it on the materialised
+corpus, :func:`run_streaming_pipeline` out of core.  The pipeline backend
+picks the *extraction* mode only: ``serial`` / ``batched`` run in-process,
+``parallel`` / ``hybrid`` shard the pages over a
+:class:`~repro.mapreduce.executors.ParallelExecutor` (with the
+12-extractor fleet installed pool-resident, shipped once per pool).
+Fusion always runs in-process, on one of the two fusion backends
+(:data:`repro.fusion.BACKENDS`): ``serial`` for ``serial`` / ``batched`` /
+``parallel``, ``vectorized`` for ``hybrid``.  The extraction pool is
+closed before fusion starts.
 
-``backend="parallel"`` output is **bit-identical to the serial path**:
-the record stream, gold labels, fused probabilities, accuracies and
-unpredicted set equal the serial reference exactly (the regression suite
-asserts this at several worker counts and under both fork and spawn start
-methods).  ``backend="hybrid"`` keeps extraction bit-identical but runs
-fusion through the batched in-shard kernels, honouring the documented
-1e-9 **tolerance** parity contract instead
-(``result.diagnostics["parity"]`` records which contract applied).
+Extraction is bit-identical under every backend, so ``parallel`` and
+``batched`` output is **bit-identical to the serial path**: the record
+stream, gold labels, fused probabilities, accuracies and unpredicted set
+equal the serial reference exactly.  ``hybrid`` fuses with the batched
+kernels and honours the documented 1e-9 **tolerance** parity contract
+instead (``result.diagnostics["parity"]`` records which contract
+applied).
 
-``repro-kf pipeline`` is the CLI face of this function; the headline
+``repro-kf pipeline`` is the CLI face of these functions; the headline
 metrics it reports (calibration deviation, AUC-PR, coverage) are the
 quantities the golden regression test freezes for the ``small`` scenario.
 """
@@ -63,6 +63,7 @@ __all__ = [
     "STREAMING_PIPELINE_BACKENDS",
     "EndToEndResult",
     "StreamingResult",
+    "extraction_diagnostics",
     "make_fuser",
     "peak_rss_mb",
     "run_end_to_end",
@@ -72,40 +73,32 @@ __all__ = [
 #: Fusion method presets the pipeline (and the CLI) can run.
 PIPELINE_METHODS = ("vote", "accu", "popaccu", "popaccu+unsup", "popaccu+")
 
-#: Execution backends the pipeline can run both stages under.
-#: ``batched`` keeps the serial executor but routes extraction synthesis
-#: through the vectorised kernels (fusion stays serial), so it is
-#: bit-identical to ``serial`` end to end.  ``hybrid`` shares the
-#: parallel executor across stages and runs batched kernels inside each
-#: shard: extraction synthesis stays bitwise, fusion honours the
-#: tolerance contract.
+#: Execution backends the pipeline accepts.  Each names an extraction
+#: mode: ``serial`` and ``batched`` (vectorised synthesis kernels) run on
+#: the serial executor, ``parallel`` and ``hybrid`` (batched synthesis
+#: inside each shard) on a process pool.  Extraction is bitwise under all
+#: four.
 PIPELINE_BACKENDS = ("serial", "batched", "parallel", "hybrid")
 
 #: Fusion backend each pipeline backend runs its fusion stage under.
-#: ``batched`` is an extraction-stage notion — fusion has no
-#: serial-executor batched mode, so it drops to plain serial (bitwise)
-#: there.  DET006 audits this mapping: every pipeline backend must
-#: resolve to a fusion backend with a declared parity contract.
+#: Fusion always runs in-process; only ``hybrid`` takes the batched
+#: ``vectorized`` fusion path (tolerance parity), every other pipeline
+#: backend fuses with the bitwise ``serial`` reference.  DET006 audits
+#: this mapping: every pipeline backend must resolve to a fusion backend
+#: with a declared parity contract.
 _FUSION_BACKEND = {
     "serial": "serial",
     "batched": "serial",
-    "parallel": "parallel",
-    "hybrid": "hybrid",
+    "parallel": "serial",
+    "hybrid": "vectorized",
 }
 
-#: Backends the *streaming* pipeline supports.  ``serial`` is excluded
-#: by design: serial fusion materialises the dict claim views, which is
-#: exactly what the out-of-core tier must never do (docs/SCALING.md has
-#: the memory model).  Each remaining backend maps to a column-native
-#: fusion backend with a declared parity contract — ``batched`` runs
-#: fusion vectorized (the serial-executor column path), not serial.
-STREAMING_PIPELINE_BACKENDS = ("batched", "parallel", "hybrid")
-
-_STREAM_FUSION_BACKEND = {
-    "batched": "vectorized",
-    "parallel": "parallel",
-    "hybrid": "hybrid",
-}
+#: Backends the *streaming* pipeline supports; both fuse with
+#: ``vectorized``, the column-native fusion backend.  ``serial`` is
+#: excluded by design: serial fusion materialises the dict claim views,
+#: which is exactly what the out-of-core tier must never do
+#: (docs/SCALING.md has the memory model).
+STREAMING_PIPELINE_BACKENDS = ("batched", "hybrid")
 
 
 def peak_rss_mb() -> float:
@@ -119,6 +112,29 @@ def peak_rss_mb() -> float:
     if sys.platform == "darwin":
         return peak / (1024 * 1024)
     return peak / 1024
+
+
+def extraction_diagnostics(pipeline, executor: Executor, backend: str) -> dict:
+    """What the extraction stage reports (pipelines and ``repro-kf extract``).
+
+    The synthesis mode and any per-extractor scalar fallbacks, plus — on
+    a process pool — the executor's worker count, fallback counters and
+    the pool-resident state it shipped.
+    """
+    diagnostics: dict = {
+        "extraction_synthesis": (
+            "batched" if backend in ("batched", "hybrid") else "scalar"
+        ),
+    }
+    fallbacks = pipeline.synthesis_fallbacks()
+    if fallbacks:
+        diagnostics["synthesis_fallbacks"] = ",".join(fallbacks)
+    if isinstance(executor, ParallelExecutor):
+        diagnostics["fallbacks_tiny"] = executor.fallbacks_tiny
+        diagnostics["fallbacks_unpicklable"] = executor.fallbacks_unpicklable
+        diagnostics["n_workers"] = executor.max_workers
+        diagnostics["state_bytes_shipped"] = executor.state_bytes_shipped
+    return diagnostics
 
 
 def make_fuser(
@@ -199,19 +215,21 @@ def run_end_to_end(
     executor: Executor | None = None,
     cache_dir: str | Path | None = None,
 ) -> EndToEndResult:
-    """Run extraction → gold labeling → fusion on one shared executor.
+    """Run extraction → gold labeling → fusion.
 
-    ``backend`` selects the execution mode for *both* stages: ``serial``,
-    ``batched`` (serial executor, vectorised synthesis kernels —
-    bit-identical to serial), ``parallel`` (bit-identical to serial), or
-    ``hybrid`` (batched kernels inside each parallel shard for both
-    stages — extraction synthesis stays bitwise-identical, fusion is
-    tolerance parity; see :mod:`repro.fusion.runner`).  A
-    caller-managed ``executor`` overrides the executor choice (and is not
-    closed here).  The fusion configuration inherits the scenario seed
-    and the requested backend unless ``fusion_config`` pins them
-    explicitly.  ``cache_dir`` enables the on-disk scenario artifact
-    cache (:func:`repro.artifacts.setup_worldgen`) for the setup stage —
+    ``backend`` selects the extraction mode: ``serial``, ``batched``
+    (serial executor, vectorised synthesis kernels), ``parallel``
+    (process-pool shards, ``n_workers`` workers) or ``hybrid`` (batched
+    synthesis inside each pool shard); extraction is bit-identical under
+    all four.  Fusion runs in-process under the fusion backend
+    ``_FUSION_BACKEND`` maps it to — ``vectorized`` (tolerance parity) for
+    ``hybrid``, the bitwise ``serial`` reference otherwise.  A
+    caller-managed ``executor`` overrides the extraction executor (and is
+    not closed here; an owned pool closes before fusion starts).  The
+    fusion configuration inherits the scenario seed and the mapped fusion
+    backend unless ``fusion_config`` pins them explicitly.  ``cache_dir``
+    enables the on-disk scenario artifact cache
+    (:func:`repro.artifacts.setup_worldgen`) for the setup stage —
     bit-identical to a fresh build; ``diagnostics["scenario_cache"]``
     reports ``hit`` / ``miss`` / ``off``.
     """
@@ -226,9 +244,7 @@ def run_end_to_end(
             f"unknown fusion method {method!r}; expected one of {PIPELINE_METHODS}"
         )
     if fusion_config is None:
-        fusion_config = FusionConfig(
-            seed=config.seed, backend=_FUSION_BACKEND[backend], n_workers=n_workers
-        )
+        fusion_config = FusionConfig(seed=config.seed, backend=_FUSION_BACKEND[backend])
 
     owns_executor = executor is None
     if executor is None:
@@ -237,16 +253,6 @@ def run_end_to_end(
             if backend in ("parallel", "hybrid")
             else SerialExecutor()
         )
-    # "hybrid" mirrors fusion's meaning for extraction too: parallel
-    # shards whose synthesis runs the batched kernel (bitwise parity,
-    # unlike fusion's tolerance parity).  "batched" passes through as
-    # the serial-executor batched-synthesis mode.
-    extraction_backend = {
-        "serial": "serial",
-        "batched": "batched",
-        "hybrid": "hybrid",
-    }.get(backend, "parallel")
-
     timings: dict[str, float] = {}
     start_total = time.perf_counter()
     try:
@@ -258,52 +264,37 @@ def run_end_to_end(
         timings["setup"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        records = pipeline.run(corpus, backend=extraction_backend, executor=executor)
-        # pipeline.run withdraws the fleet from the shared executor at the
-        # stage boundary, so the pool restart (when fusion installs the
-        # claim columns) does not re-ship it to workers that never use it.
+        records = pipeline.run(corpus, backend=backend, executor=executor)
         timings["extraction"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        gold = label_gold(freebase, records)
-        timings["labeling"] = time.perf_counter() - start
-
-        scenario = Scenario(
-            config=config,
-            world=world,
-            freebase=freebase,
-            corpus=corpus,
-            pipeline=pipeline,
-            records=records,
-            gold=gold,
-        )
-
-        start = time.perf_counter()
-        fuser = make_fuser(method, fusion_config, gold)
-        fusion_result = fuser.fuse(scenario.fusion_input(), executor=executor)
-        timings["fusion"] = time.perf_counter() - start
     finally:
         if owns_executor:
             executor.close()
+
+    start = time.perf_counter()
+    gold = label_gold(freebase, records)
+    timings["labeling"] = time.perf_counter() - start
+
+    scenario = Scenario(
+        config=config,
+        world=world,
+        freebase=freebase,
+        corpus=corpus,
+        pipeline=pipeline,
+        records=records,
+        gold=gold,
+    )
+
+    start = time.perf_counter()
+    fuser = make_fuser(method, fusion_config, gold)
+    fusion_result = fuser.fuse(scenario.fusion_input())
+    timings["fusion"] = time.perf_counter() - start
     timings["total"] = time.perf_counter() - start_total
 
     diagnostics = dict(fusion_result.diagnostics)
     diagnostics["n_records"] = len(records)
     diagnostics["n_pages"] = len(corpus.pages)
     diagnostics["scenario_cache"] = cache_status
-    diagnostics["extraction_synthesis"] = (
-        "batched" if extraction_backend in ("batched", "hybrid") else "scalar"
-    )
-    fallbacks = pipeline.synthesis_fallbacks()
-    if fallbacks:
-        diagnostics["synthesis_fallbacks"] = ",".join(fallbacks)
-    if isinstance(executor, ParallelExecutor):
-        diagnostics["fallbacks_tiny"] = executor.fallbacks_tiny
-        diagnostics["fallbacks_unpicklable"] = executor.fallbacks_unpicklable
-        diagnostics["fallbacks_shm"] = executor.fallbacks_shm
-        diagnostics["n_workers"] = executor.max_workers
-        diagnostics["round_state"] = executor.round_state_channel
-        diagnostics["state_bytes_shipped"] = executor.state_bytes_shipped
+    diagnostics.update(extraction_diagnostics(pipeline, executor, backend))
 
     return EndToEndResult(
         scenario=scenario,
@@ -359,33 +350,31 @@ def run_streaming_pipeline(
     record list are never materialised.  With ``cache_dir`` set the
     claim columns are published to the content-addressed column store
     and fusion runs over read-only memory-mapped views
-    (``diagnostics["column_store"] = "mapped"``); workers receive a
-    ~300-byte :class:`~repro.artifacts.ColumnHandle` and re-map the
-    files zero-copy.  Without it fusion runs over the in-memory columns
-    (``"memory"``) — bitwise-identical either way, by test.
+    (``diagnostics["column_store"] = "mapped"``), so the numeric columns
+    live in the page cache rather than the heap.  Without it fusion runs
+    over the in-memory columns (``"memory"``) — bitwise-identical either
+    way, by test.
 
-    ``backend`` must be one of :data:`STREAMING_PIPELINE_BACKENDS`;
-    ``serial`` is rejected because serial fusion rebuilds the dict claim
-    views.  ``diagnostics["peak_rss_mb"]`` records the process peak RSS
-    after the run.
+    ``backend`` must be one of :data:`STREAMING_PIPELINE_BACKENDS` and
+    picks the extraction mode; fusion always runs in-process under
+    ``vectorized``, the column-native fusion backend.
+    ``diagnostics["peak_rss_mb"]`` records the process peak RSS after
+    the run.
     """
     if backend not in STREAMING_PIPELINE_BACKENDS:
         raise ConfigError(
             f"streaming pipeline backend must be one of "
-            f"{STREAMING_PIPELINE_BACKENDS}, got {backend!r} — the serial "
-            "path materialises dict claim views, which the out-of-core "
-            "tier forbids (see docs/SCALING.md)"
+            f"{STREAMING_PIPELINE_BACKENDS}, got {backend!r} — the out-of-core "
+            "tier always fuses with the column-native vectorized backend; "
+            "serial fusion would materialise the dict claim views "
+            "(see docs/SCALING.md)"
         )
     if method not in PIPELINE_METHODS:
         raise ConfigError(
             f"unknown fusion method {method!r}; expected one of {PIPELINE_METHODS}"
         )
     if fusion_config is None:
-        fusion_config = FusionConfig(
-            seed=config.seed,
-            backend=_STREAM_FUSION_BACKEND[backend],
-            n_workers=n_workers,
-        )
+        fusion_config = FusionConfig(seed=config.seed, backend="vectorized")
     # The fuser preset decides the effective provenance granularity
     # (POPACCU+ overrides it); the accumulator must fold records at that
     # granularity, so resolve it from a gold-less probe fuser up front.
@@ -393,7 +382,7 @@ def run_streaming_pipeline(
 
     executor = (
         ParallelExecutor(max_workers=n_workers)
-        if backend in ("parallel", "hybrid")
+        if backend == "hybrid"
         else SerialExecutor()
     )
     timings: dict[str, float] = {}
@@ -427,6 +416,7 @@ def run_streaming_pipeline(
             n_records += len(records)
             n_chunks += 1
         timings["extraction"] = time.perf_counter() - start
+        executor.close()
 
         start = time.perf_counter()
         gold = label_gold_triples(freebase, accumulator.unique_triples())
@@ -449,7 +439,7 @@ def run_streaming_pipeline(
 
         start = time.perf_counter()
         fuser = make_fuser(method, fusion_config, gold)
-        fusion_result = fuser.fuse(ColumnarFusionInput(cols), executor=executor)
+        fusion_result = fuser.fuse(ColumnarFusionInput(cols))
         timings["fusion"] = time.perf_counter() - start
     finally:
         executor.close()
@@ -464,19 +454,7 @@ def run_streaming_pipeline(
     diagnostics["chunk_pages"] = chunk_pages
     diagnostics["copy_window"] = copy_window
     diagnostics["column_store"] = column_store
-    diagnostics["extraction_synthesis"] = (
-        "batched" if backend in ("batched", "hybrid") else "scalar"
-    )
-    fallbacks = pipeline.synthesis_fallbacks()
-    if fallbacks:
-        diagnostics["synthesis_fallbacks"] = ",".join(fallbacks)
-    if isinstance(executor, ParallelExecutor):
-        diagnostics["fallbacks_tiny"] = executor.fallbacks_tiny
-        diagnostics["fallbacks_unpicklable"] = executor.fallbacks_unpicklable
-        diagnostics["fallbacks_shm"] = executor.fallbacks_shm
-        diagnostics["n_workers"] = executor.max_workers
-        diagnostics["round_state"] = executor.round_state_channel
-        diagnostics["state_bytes_shipped"] = executor.state_bytes_shipped
+    diagnostics.update(extraction_diagnostics(pipeline, executor, backend))
     diagnostics["peak_rss_mb"] = round(peak_rss_mb(), 1)
 
     return StreamingResult(

@@ -577,7 +577,7 @@ def fallback_names(extractors: Sequence["Extractor"]) -> tuple[str, ...]:
 
     These run scalar ``extract_page`` inside ``synthesize_batch`` (still
     bit-identical); the pipeline surfaces them in its diagnostics the way
-    fusion tags its hybrid fallback.
+    fusion tags its vectorized fallback.
     """
     return tuple(
         extractor.name

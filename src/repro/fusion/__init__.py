@@ -16,16 +16,15 @@ Posterior math exists in two parity-tested forms: scalar per-item
 reference implementations (``*_item_posteriors``) and batched numpy
 kernels (:mod:`repro.fusion.kernels`) over the columnar claim index
 (:class:`~repro.fusion.observations.ColumnarClaims`);
-``FusionConfig.backend`` selects scalar-serial, process-pool-parallel,
-vectorized, or hybrid (batched kernels inside each parallel shard)
-execution.  ``serial``/``parallel`` honour the bitwise parity contract,
-``vectorized``/``hybrid`` the 1e-9 tolerance one
+``FusionConfig.backend`` selects scalar ``serial`` or batched
+``vectorized`` execution.  ``serial`` honours the bitwise parity
+contract, ``vectorized`` the 1e-9 tolerance one
 (:data:`~repro.fusion.base.PARITY_TOLERANCE_ABS`); see
 ``docs/ARCHITECTURE.md`` for the full backend matrix.
 """
 
 from repro.fusion.provenance import Granularity, provenance_key
-from repro.fusion.observations import Claim, ColumnarClaims, ColumnarSlice, FusionInput
+from repro.fusion.observations import Claim, ColumnarClaims, FusionInput
 from repro.fusion.base import (
     BACKENDS,
     PARITY_BITWISE,
@@ -53,7 +52,6 @@ __all__ = [
     "provenance_key",
     "Claim",
     "ColumnarClaims",
-    "ColumnarSlice",
     "FusionInput",
     "BACKENDS",
     "PARITY_BITWISE",

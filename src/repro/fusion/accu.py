@@ -16,14 +16,13 @@ Iteration (accuracy re-estimation) lives in :mod:`repro.fusion.runner`.
 
 Two cross-backend contracts anchor here.  *Canonical-order summation*:
 the scalar posterior sums floats in sorted order (see
-:func:`accu_item_posteriors`), which is what makes serial and parallel
-runs bit-identical.  *Canonical-order sampling*: when the reducer-input
-bound ``L`` engages, a data item's claims are sampled against their
-``(triple, provenance)`` canonical order
-(:func:`repro.fusion.runner.stage1_sample_key`) — the columnar claim
-layout's native order — so sampled subsets are identical whether drawn by
-the serial engine or re-drawn inside a parallel shard
-(:class:`repro.fusion.shuffle.Stage1ColumnarShard`).
+:func:`accu_item_posteriors`), which is what makes serial runs
+bit-identical on any executor and under any ``PYTHONHASHSEED``.
+*Canonical-order sampling*: when the reducer-input bound ``L`` engages, a
+data item's claims are sampled against their ``(triple, provenance)``
+canonical order (:func:`repro.fusion.runner.stage1_sample_key`) — the
+columnar claim layout's native order — so sampled subsets do not depend
+on record order.
 """
 
 from __future__ import annotations
@@ -88,8 +87,8 @@ class AccuKernel:
     (:func:`accu_item_posteriors`); :meth:`batch_round` scores every item
     of a round at once through the numpy kernel
     (:func:`repro.fusion.kernels.accu_round`).  Being a frozen dataclass —
-    not a closure — it survives pickling into the parallel backend's
-    worker processes.
+    not a closure — it survives pickling into a pooled executor's worker
+    processes.
     """
 
     n_false: int = 100

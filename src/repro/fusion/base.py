@@ -7,6 +7,11 @@ round budget ``R``, the provenance granularity, and the two provenance
 filters of §4.3.2.  Gold-standard labels for semi-supervised accuracy
 initialisation (§4.3.3) are passed to the fuser separately because they
 are data, not configuration.
+
+Fusion has two execution backends (:data:`BACKENDS`): ``serial``, the
+scalar reference that honours the ``bitwise`` parity contract, and
+``vectorized``, the batched fast path that honours the ``tolerance``
+one.  Every run records which contract applied (:func:`parity_of`).
 """
 
 from __future__ import annotations
@@ -32,25 +37,19 @@ __all__ = [
 ]
 
 #: Execution backends for the fusion pipeline:
-#: - ``serial``: scalar per-item posteriors through the in-process engine;
-#: - ``parallel``: same scalar reducers, sharded over a process pool
-#:   (bit-identical to ``serial``);
+#: - ``serial``: scalar per-item posteriors through the in-process engine
+#:   (the bitwise reference every parity test compares against);
 #: - ``vectorized``: batched numpy kernels over the columnar claim index
 #:   (matches ``serial`` to :data:`PARITY_TOLERANCE_ABS`; falls back to
 #:   ``serial`` when the posterior function has no batched form or
-#:   sampling must engage);
-#: - ``hybrid``: the vectorized kernels *inside* each parallel shard —
-#:   pool workers run one batched kernel call per shard of pool-resident
-#:   columns instead of N scalar updates (tolerance parity; degrades to
-#:   the scalar ``parallel`` path when the posterior function has no
-#:   batched form or sampling must engage).
-BACKENDS = ("serial", "parallel", "vectorized", "hybrid")
+#:   sampling must engage).
+BACKENDS = ("serial", "vectorized")
 
 #: Numeric parity contracts a fusion run can honour (recorded per run in
 #: ``result.diagnostics["parity"]``):
 #: - ``bitwise``: every float operation matches the serial reference in
-#:   the identical order — outputs are equal bit-for-bit, at any worker
-#:   count and start method, independent of ``PYTHONHASHSEED``;
+#:   the identical order — outputs are equal bit-for-bit, independent of
+#:   ``PYTHONHASHSEED`` and of the executor the reduces run on;
 #: - ``tolerance``: batched summation order differs from the scalar
 #:   reference, so outputs agree only to :data:`PARITY_TOLERANCE_ABS`
 #:   (absolute).  Golden tests may freeze exact numbers only for
@@ -58,31 +57,27 @@ BACKENDS = ("serial", "parallel", "vectorized", "hybrid")
 PARITY_BITWISE = "bitwise"
 PARITY_TOLERANCE = "tolerance"
 
-#: The documented absolute tolerance of ``tolerance``-parity backends
-#: (vectorized / hybrid) against the scalar serial reference.  The
+#: The documented absolute tolerance of the ``tolerance``-parity
+#: ``vectorized`` backend against the scalar serial reference.  The
 #: kernels empirically sit near 1e-12; 1e-9 is the contractual bound the
 #: test suite and benchmarks assert.
 PARITY_TOLERANCE_ABS = 1e-9
 
 #: Which parity each *executed* backend honours.  Keyed by the resolved
-#: ``backend_used`` stem — fallback paths (``"serial (vectorized
-#: fallback)"``, ``"parallel (hybrid fallback)"``) run scalar kernels and
-#: are therefore bitwise.
+#: ``backend_used`` stem — the fallback path (``"serial (vectorized
+#: fallback)"``) runs scalar kernels and is therefore bitwise.
 _BACKEND_PARITY = {
     "serial": PARITY_BITWISE,
-    "parallel": PARITY_BITWISE,
     "vectorized": PARITY_TOLERANCE,
-    "hybrid": PARITY_TOLERANCE,
 }
 
 
 def parity_of(backend_used: str) -> str:
     """The numeric parity contract of a resolved ``backend_used`` string.
 
-    Fallback spellings such as ``"serial (vectorized fallback)"`` or
-    ``"parallel (hybrid fallback)"`` ran the scalar kernels and are
-    bitwise; only runs that actually executed batched kernels
-    (``"vectorized"``, ``"hybrid"``) are tolerance-parity.
+    The fallback spelling ``"serial (vectorized fallback)"`` ran the
+    scalar kernels and is bitwise; only runs that actually executed
+    batched kernels (``"vectorized"``) are tolerance-parity.
     """
     return _BACKEND_PARITY.get(backend_used, PARITY_BITWISE)
 
@@ -92,8 +87,8 @@ def sampling_contract_of(config: "FusionConfig") -> str:
 
     ``"canonical-order"`` when the sampling bound ``L`` is set: sampled
     subsets are drawn against each key's values in canonical (sorted)
-    order, so every backend — serial, parallel shards, fallbacks — picks
-    identical subsets.  ``"unbounded"`` when sampling is disabled.
+    order, so every executor — in-process or pooled reduce shards —
+    picks identical subsets.  ``"unbounded"`` when sampling is disabled.
     """
     return "canonical-order" if config.sample_limit is not None else "unbounded"
 
@@ -131,16 +126,10 @@ class FusionConfig:
     seed:
         Seed for deterministic reducer sampling and gold subsampling.
     backend:
-        Execution backend (see :data:`BACKENDS`): ``serial`` (default),
-        ``parallel`` (process-pool sharded reduce, bit-identical),
-        ``vectorized`` (batched numpy Stage I/II over the columnar
-        index), or ``hybrid`` (batched kernels inside each parallel
-        shard).  ``serial``/``parallel`` honour the ``bitwise`` parity
-        contract, ``vectorized``/``hybrid`` the ``tolerance`` one (see
-        :func:`parity_of`).
-    n_workers:
-        Worker-process count for the ``parallel`` and ``hybrid``
-        backends (None = CPU count); ignored by the other backends.
+        Execution backend (see :data:`BACKENDS`): ``serial`` (default)
+        or ``vectorized`` (batched numpy Stage I/II over the columnar
+        index).  ``serial`` honours the ``bitwise`` parity contract,
+        ``vectorized`` the ``tolerance`` one (see :func:`parity_of`).
     """
 
     granularity: Granularity = Granularity.EXTRACTOR_URL
@@ -154,15 +143,12 @@ class FusionConfig:
     gold_sample_rate: float = 1.0
     seed: int = 0
     backend: str = "serial"
-    n_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ConfigError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.n_workers is not None and self.n_workers < 1:
-            raise ConfigError(f"n_workers must be >= 1 or None, got {self.n_workers}")
         if self.n_false_values < 1:
             raise ConfigError(f"n_false_values must be >= 1, got {self.n_false_values}")
         if not 0.0 < self.default_accuracy < 1.0:
@@ -239,7 +225,7 @@ class Fuser(abc.ABC):
         """Compute truthfulness probabilities for every unique triple.
 
         ``executor`` optionally supplies a caller-managed
-        :class:`~repro.mapreduce.executors.Executor` shared with other
-        pipeline stages (the caller closes it); implementations that run
-        purely in-process may ignore it.
+        :class:`~repro.mapreduce.executors.Executor` for the scalar
+        path's MapReduce jobs (the caller closes it); implementations
+        that run purely in-process may ignore it.
         """

@@ -16,17 +16,10 @@ at least one active provenance).  :func:`stage2_accuracies` is the matching
 batched Stage-II update (mean posterior of each provenance's scored
 triples, via the transposed CSR).
 
-The kernels are consumed two ways: whole-matrix by the ``vectorized``
-backend, and shard-at-a-time by the ``hybrid`` backend — each parallel
-worker calls ``batch_round`` on a
-:class:`~repro.fusion.observations.ColumnarSlice` of the pool-resident
-columns, so the kernels must only touch the CSR pointer/index attributes
-(``item_ptr``/``row_ptr``/``row_item``/``claim_prov``/``n_rows``), which
-both views provide.  In hybrid workers the ``accuracies``/``active``
-inputs are **read-only views over shared-memory round state**
-(:meth:`~repro.mapreduce.executors.RoundStateHandle.load`), so kernels
-must never write into their inputs — derive new arrays (as ``np.clip``
-etc. already do) instead of mutating in place.
+The ``vectorized`` backend calls the kernels once per round over the whole
+matrix.  Kernels must never write into their ``accuracies``/``active``
+inputs (the runner reuses them across the θ-boundary rescue) — derive new
+arrays (as ``np.clip`` etc. already do) instead of mutating in place.
 
 **Numerical parity contract** (``tolerance``, see
 :data:`repro.fusion.base.PARITY_TOLERANCE_ABS`): results match the scalar
@@ -35,10 +28,10 @@ benchmarks assert is 1e-9 absolute.  Exact bitwise equality is *not*
 guaranteed, because ``np.add.reduceat`` visits the same addends in array
 order (with pairwise blocking) while the scalar references sum in
 canonical (sorted) order.  The scalar references' canonical-order
-summation is itself load-bearing: it is what makes the serial and
-scalar-parallel backends independent of ``PYTHONHASHSEED`` (a dict/set
-iteration order would leak each worker's hash seed into the last ulp) and
-therefore bit-identical to each other — the ``bitwise`` contract the
+summation is itself load-bearing: it is what makes the serial backend
+independent of ``PYTHONHASHSEED`` (a dict/set iteration order would leak
+each pool worker's hash seed into the last ulp) and
+therefore bit-identical on any executor — the ``bitwise`` contract the
 golden tests freeze.  The batched kernels inherit hash-seed independence
 trivially: they never iterate a hash-ordered container at all, only
 integer-indexed arrays whose layout is canonically sorted at build time.

@@ -13,16 +13,14 @@ that replace them:
 - :class:`MappedColumnarClaims` is a ``ColumnarClaims`` whose numeric
   columns are read-only ``np.memmap`` views over a published column
   store (:func:`repro.artifacts.save_column_store`).  Pickling it ships
-  only the ~300-byte :class:`~repro.artifacts.ColumnHandle`; each pool
-  worker re-maps the files, so the static columns are shared zero-copy
-  through the page cache — the PR 5 shared-memory channel extended from
-  per-round vectors to the claim matrix itself.  The object columns
-  (``items``/``triples``/``provenances``) load lazily on first touch:
-  the hybrid shards never touch them, so hybrid workers stay numeric.
+  only the ~300-byte :class:`~repro.artifacts.ColumnHandle`; a reader in
+  another process re-maps the files, so the static columns are shared
+  zero-copy through the page cache.  The object columns
+  (``items``/``triples``/``provenances``) load lazily on first touch.
 - :class:`ColumnarClaimMatrix` / :class:`ColumnarFusionInput` adapt a
   bare column set to the ``ClaimMatrix`` / ``FusionInput`` surface the
-  fusion runner consumes, building the dict views lazily (small-scale
-  parity tests) or never (the column-native finalize path).
+  fusion runner consumes, building the dict views lazily (the serial
+  path) or never (the vectorized path).
 """
 
 from __future__ import annotations
@@ -68,8 +66,8 @@ class MappedColumnarClaims(ColumnarClaims):
     memmaps, while the object columns unpickle from ``objects.pkl`` on
     first attribute access (``__getattr__`` fires because the dataclass
     declares no class-level default for them).  ``__reduce__`` ships the
-    handle only, so installing an instance as pool-resident state costs
-    a few hundred bytes per worker regardless of matrix size.
+    handle only, so pickling an instance costs a few hundred bytes
+    regardless of matrix size.
     """
 
     def __init__(self, handle: ColumnHandle) -> None:
@@ -136,9 +134,8 @@ class MappedColumnarClaims(ColumnarClaims):
     def close(self) -> None:
         """Release every mapped view (and its file descriptor).
 
-        The instance must not be used afterwards; the round-state
-        lifecycle calls this right after the columns are uninstalled
-        from the pool.
+        The instance must not be used afterwards; the streaming pipeline
+        calls this once fusion is done with the columns.
         """
         if self._closed:
             return
@@ -176,14 +173,14 @@ def persist_columns(
 class ColumnarClaimMatrix:
     """A ``ClaimMatrix``-shaped adapter over a bare column set.
 
-    The parallel/hybrid fusion paths are column-native except for the
-    final scalar result assembly; this adapter lets them run without a
-    record-built ``ClaimMatrix``.  The dict views (``items`` /
-    ``prov_triples``) build lazily from the columns — bit-identical to
-    the record-built dicts because the columnar layout is canonical
-    (sorted items, sorted triples per item, sorted provenances per row)
-    — so the serial/mapreduce backend still works at small scale, while
-    the column-native finalize never touches them at all.
+    The vectorized fusion path is column-native; this adapter lets it
+    run without a record-built ``ClaimMatrix``.  The dict views
+    (``items`` / ``prov_triples``) build lazily from the columns —
+    bit-identical to the record-built dicts because the columnar layout
+    is canonical (sorted items, sorted triples per item, sorted
+    provenances per row) — so the serial/mapreduce path (including the
+    vectorized sampling fallback) still works, while the vectorized path
+    never touches them at all.
     """
 
     def __init__(self, cols: ColumnarClaims) -> None:

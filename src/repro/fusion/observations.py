@@ -36,9 +36,7 @@ from repro.kb.triples import DataItem, Triple
 __all__ = [
     "Claim",
     "ColumnarClaims",
-    "ColumnarSlice",
     "FusionInput",
-    "ragged_gather",
 ]
 
 ProvKey = tuple[str, ...]
@@ -72,54 +70,6 @@ class FusionInput:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-def ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``[starts[k], starts[k]+counts[k])`` ranges, vectorized.
-
-    The CSR-segment gather shared by :meth:`ColumnarClaims.slice_items`
-    and the hybrid Stage-II shard — subtle index arithmetic that must
-    live in exactly one place.
-    """
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    ptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    return np.repeat(starts - ptr[:-1], counts) + np.arange(total, dtype=np.int64)
-
-
-@dataclass(eq=False)  # ndarray fields: generated __eq__ would raise
-class ColumnarSlice:
-    """A shard-local CSR view over a subset of a :class:`ColumnarClaims`.
-
-    The batched posterior kernels (:mod:`repro.fusion.kernels`) only touch
-    the CSR pointer/index arrays, so a *slice* carrying remapped local
-    pointers over the selected items' rows and claims lets the same
-    kernels score one parallel shard — the ``hybrid`` backend's unit of
-    work.  ``rows`` maps each local row back to its global row id (for
-    re-emitting posteriors against the full matrix); ``claim_prov`` keeps
-    *global* provenance ids so the per-pool accuracy/active buffers index
-    directly.
-    """
-
-    rows: np.ndarray  # local row -> global row id
-    row_item: np.ndarray  # local row -> local item index
-    item_ptr: np.ndarray  # local item j rows: [item_ptr[j], item_ptr[j+1])
-    claim_prov: np.ndarray  # local claim -> GLOBAL provenance index
-    row_ptr: np.ndarray  # local row r claims: [row_ptr[r], row_ptr[r+1])
-
-    @property
-    def n_items(self) -> int:
-        return len(self.item_ptr) - 1
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_claims(self) -> int:
-        return len(self.claim_prov)
 
 
 @dataclass(eq=False)  # ndarray fields: generated __eq__ would raise
@@ -187,7 +137,7 @@ class ColumnarClaims:
         after every alphanumeric.  Reducers that must sum floats in
         ``sorted(triples)`` order (the Stage-II mean, for bit-identity
         with the serial backend) therefore order rows by this rank, built
-        once and cached — pool-resident state carries it to workers.
+        once and cached.
         """
         if self._canonical_rank is None:
             order = sorted(
@@ -199,32 +149,6 @@ class ColumnarClaims:
             )
             self._canonical_rank = rank
         return self._canonical_rank
-
-    def slice_items(self, item_ids) -> ColumnarSlice:
-        """A local CSR view over ``item_ids`` for the hybrid shard kernels.
-
-        Pure numpy gathers (no Python loop over rows or claims), so the
-        per-shard setup cost stays a handful of array ops.  Items keep the
-        order given; rows/claims stay contiguous per item/row, preserving
-        the layout invariant the ``reduceat``-based kernels rely on.
-        """
-        ids = np.asarray(item_ids, dtype=np.int64)
-        row_counts = self.item_ptr[ids + 1] - self.item_ptr[ids]
-        rows = ragged_gather(self.item_ptr[ids], row_counts)
-        item_ptr = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=item_ptr[1:])
-        row_item = np.repeat(np.arange(len(ids), dtype=np.int64), row_counts)
-        claim_counts = self.row_ptr[rows + 1] - self.row_ptr[rows]
-        claims = ragged_gather(self.row_ptr[rows], claim_counts)
-        row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(claim_counts, out=row_ptr[1:])
-        return ColumnarSlice(
-            rows=rows,
-            row_item=row_item,
-            item_ptr=item_ptr,
-            claim_prov=self.claim_prov[claims],
-            row_ptr=row_ptr,
-        )
 
     @staticmethod
     def from_items(

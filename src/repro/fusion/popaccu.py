@@ -8,11 +8,10 @@ repeated by many provenances is explained as a popular false value rather
 than forced toward truth.
 
 POPACCU honours the same cross-backend contracts as ACCU: canonical-order
-float summation (bitwise serial/parallel parity — see
+float summation (bitwise serial parity on any executor — see
 :func:`popaccu_item_posteriors`) and canonical-order reducer-input
 sampling (`L`-sampled subsets are drawn against sorted ``(triple,
-provenance)`` order, reproducible inside parallel shards; see
-:mod:`repro.fusion.runner` and :mod:`repro.fusion.shuffle`).
+provenance)`` order; see :mod:`repro.fusion.runner`).
 
 Formulation (documented in DESIGN.md §4): candidates are the observed
 values plus an explicit OTHER ("the truth is none of the observed
@@ -56,7 +55,7 @@ def popaccu_item_posteriors(
     Floats are summed in canonical (sorted) order, never in set iteration
     order, so the result is independent of ``PYTHONHASHSEED`` — see
     :func:`repro.fusion.accu.accu_item_posteriors` for why the
-    serial/parallel bit-identity contract needs this.
+    serial bit-identity contract needs this.
     """
     if not claims:
         return {}
@@ -110,7 +109,7 @@ class PopAccuKernel:
 
     Scalar reference per item via :func:`popaccu_item_posteriors`; batched
     per round via :func:`repro.fusion.kernels.popaccu_round`.  A frozen
-    dataclass so the parallel backend can pickle it into workers.
+    dataclass so a pooled executor can pickle it into workers.
     """
 
     def __call__(

@@ -10,7 +10,7 @@
   plus gold-standard accuracy initialisation.
 
 Every preset accepts ``backend=``
-(``serial``/``parallel``/``vectorized``/``hybrid``) as a convenience
+(``serial``/``vectorized``) as a convenience
 override of ``FusionConfig.backend``.
 """
 

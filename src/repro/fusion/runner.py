@@ -25,60 +25,41 @@ Execution backends (``FusionConfig.backend``):
 
 - ``serial`` — the reference path: scalar per-item posteriors through the
   in-process MapReduce engine;
-- ``parallel`` — the *columnar shuffle* (:mod:`repro.fusion.shuffle`):
-  the claim columns are installed pool-resident once per pool, each round
-  dispatches both stages as :class:`~repro.mapreduce.executors.ShardedMapJob`
-  map-only jobs over integer item/provenance ids (round state crosses as
-  contiguous float64/bool buffers — no ``Claim``/``Triple`` objects in
-  shard payloads), and workers run the identical scalar kernels —
-  bit-identical to ``serial`` on fork *and* spawn, at any worker count.
-  Reducer-input sampling (``L``) no longer degrades this path: sampled
-  subsets are defined in canonical order (see below) and the shard
-  workers re-draw them identically against the resident columns;
 - ``vectorized`` — both stages batched as numpy array operations over the
   cached columnar claim index (:mod:`repro.fusion.kernels`), skipping the
   per-item Python loop entirely.  Requires ``item_posterior_fn`` to carry
   a ``batch_round`` method (the built-in kernels do) and reverts to
   ``serial`` when reducer-input sampling would engage (the batched
-  kernels score whole rounds and cannot subset per item);
-- ``hybrid`` — the composition: the columnar shuffle's sharded dispatch
-  *with* the vectorized kernels inside each shard
-  (:class:`~repro.fusion.shuffle.HybridStage1Shard`), so every worker
-  runs one batched kernel call per shard instead of N scalar updates.
-  Requires ``batch_round`` like ``vectorized``; degrades to the scalar
-  ``parallel`` shards (never to serial) when the kernel has no batched
-  form or sampling must engage.
+  kernels score whole rounds and cannot subset per item).
 
-**Parity.**  ``serial``/``parallel`` honour the ``bitwise`` contract
-(identical floats, any worker count/start method);
-``vectorized``/``hybrid`` honour the ``tolerance`` contract (1e-9
-absolute, :data:`repro.fusion.base.PARITY_TOLERANCE_ABS`) because batched
-summation order differs.  Tolerance parity through an *iterated* θ-filter
-needs one extra guarantee: the discrete ``A(S) >= θ`` decisions must not
-flip on last-ulp drift (POPACCU parks many accuracies exactly at θ), so
-both batched paths recompute θ-boundary accuracies through the exact
-serial dataflow each round (:data:`THETA_RESCUE_BAND`).  Every run
-records the contract it honoured in ``result.diagnostics["parity"]``.
+**Parity.**  ``serial`` is the ``bitwise`` reference; ``vectorized``
+honours the ``tolerance`` contract (1e-9 absolute,
+:data:`repro.fusion.base.PARITY_TOLERANCE_ABS`) because batched summation
+order differs.  Tolerance parity through an *iterated* θ-filter needs one
+extra guarantee: the discrete ``A(S) >= θ`` decisions must not flip on
+last-ulp drift (POPACCU parks many accuracies exactly at θ), so the
+batched path recomputes θ-boundary accuracies through the exact serial
+dataflow each round (:data:`THETA_RESCUE_BAND`).  Every run records the
+contract it honoured in ``result.diagnostics["parity"]``.
 
 **Canonical-order sampling.**  Stage-I samples a data item's claims in
 ``(triple, provenance)`` canonical order; Stage-II samples a provenance's
 scored triples in canonical triple order (the jobs' ``sample_key``).  The
 sampled subset is therefore a property of the key's value *set*, not the
-scalar dataflow's arrival order — which is what lets the parallel shards
-(whose columnar layout enumerates values in exactly that order) reproduce
-it bit-for-bit.  ``result.diagnostics["sampling"]`` records
-``"canonical-order"`` whenever ``L`` is configured.
+scalar dataflow's arrival order, so record order never changes a sampled
+result and a pooled executor's reduce shards draw the same subsets.
+``result.diagnostics["sampling"]`` records ``"canonical-order"`` whenever
+``L`` is configured.
 
 ``result.diagnostics["backend"]`` records what was requested and
-``["backend_used"]`` what actually ran; ``parallel``/``hybrid`` runs also
-report the executor's ``fallbacks_tiny`` / ``fallbacks_unpicklable``
-counters (jobs that ran in-process because dispatch could not pay off, or
-because the posterior kernel would not pickle).
+``["backend_used"]`` what actually ran.
 
 A caller-managed executor can be threaded through ``run_bayesian_fusion``
-(and ``Fuser.fuse``) so extraction and fusion share one worker pool — the
-``repro-kf pipeline`` subcommand / :func:`repro.endtoend.run_end_to_end`
-do exactly that.  Caller-managed executors are not closed here.
+(and ``Fuser.fuse``); the ``serial`` path runs its MapReduce jobs on it
+(a :class:`~repro.mapreduce.executors.ParallelExecutor` shards the
+reduces over its pool, bit-identically, and its ``fallbacks_tiny`` /
+``fallbacks_unpicklable`` counters land in the diagnostics).
+Caller-managed executors are not closed here.
 """
 
 from __future__ import annotations
@@ -88,14 +69,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.fusion import kernels, shuffle
+from repro.fusion import kernels
 from repro.fusion.base import (
     FusionConfig,
     FusionResult,
     parity_of,
     sampling_contract_of,
 )
-from repro.fusion.matrix import ColumnarClaimMatrix
 from repro.fusion.observations import ColumnarClaims, FusionInput, ProvKey
 from repro.kb.triples import Triple
 from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
@@ -104,7 +84,6 @@ from repro.rng import split_seed
 
 __all__ = [
     "run_bayesian_fusion",
-    "make_executor",
     "sampling_would_engage",
     "stage1_mapper",
     "stage1_sample_key",
@@ -145,9 +124,8 @@ def stage1_sample_key(value):
     """Canonical order of one Stage-I value: ``(triple, provenance)``.
 
     Matches the columnar claim layout (triples canonically sorted within
-    the item, provenances sorted within each row), so shard workers
-    re-draw identical sampled subsets against the resident columns.
-    Module-level so parallel reduce shards can pickle it.
+    the item, provenances sorted within each row).  Module-level so a
+    pooled executor's reduce shards can pickle it.
     """
     triple, prov = value
     return (triple.canonical(), prov)
@@ -156,17 +134,17 @@ def stage1_sample_key(value):
 def stage2_sample_key(value):
     """Canonical order of one Stage-II value: the triple.
 
-    The same order the Stage-II reducer sums in (``sorted(seen)``), and
-    the resident columns' ``canonical_rank`` — sampling and summation
-    stay aligned across backends.
+    The same order the Stage-II reducer sums in (``sorted(seen)``) and
+    the columns' ``canonical_rank`` — sampling and summation stay aligned
+    across backends.
     """
     return value[0].canonical()
 
 
 @dataclass(frozen=True, eq=False)
 class Stage1Reducer:
-    """Per-item posterior reducer; module-level dataclass so the parallel
-    backend can pickle it into worker processes."""
+    """Per-item posterior reducer; module-level dataclass so a pooled
+    executor can pickle it into worker processes."""
 
     posterior_fn: ItemPosteriorFn
     accuracies: dict[ProvKey, float]
@@ -185,8 +163,8 @@ def _stage2_reducer(prov, values):
     """Mean posterior of a provenance's (deduplicated) scored triples.
 
     Summed in canonical triple order (not insertion order) so the result
-    is hash-seed independent and matches the columnar shard workers
-    bit-for-bit.
+    is hash-seed independent: a pooled executor's workers, each with its
+    own hash seed, reproduce it bit-for-bit.
     """
     seen: dict[Triple, float] = {}
     for triple, probability in values:
@@ -256,7 +234,7 @@ def _stage2(
 
 
 #: Half-width of the θ-boundary rescue band used by the tolerance-parity
-#: backends (vectorized / hybrid).  The accuracy filter ``A(S) >= θ`` is a
+#: ``vectorized`` backend.  The accuracy filter ``A(S) >= θ`` is a
 #: *discrete* decision over a continuous estimate, and the POPACCU valleys
 #: park many provenance accuracies exactly at θ = 0.5 — so a last-ulp
 #: summation difference would flip filter membership and snowball into
@@ -333,12 +311,6 @@ def _exact_boundary_accuracies(
     return exact
 
 
-def make_executor(config: FusionConfig, backend: str) -> Executor:
-    if backend in ("parallel", "hybrid"):
-        return ParallelExecutor(max_workers=config.n_workers)
-    return SerialExecutor()
-
-
 def sampling_would_engage(
     cols: ColumnarClaims, config: FusionConfig, include_stage2: bool = True
 ) -> bool:
@@ -375,11 +347,12 @@ def run_bayesian_fusion(
     experiment).  ``backend`` overrides ``config.backend`` for this run.
     ``executor`` supplies a caller-managed executor — shared with other
     pipeline stages and *not* closed here (the caller closes it); only
-    the ``serial`` and ``parallel`` backends consult it.
+    the scalar ``serial`` path consults it.
     """
     requested = backend if backend is not None else config.backend
     matrix = fusion_input.claims(config.granularity)
 
+    backend_used = requested
     if requested == "vectorized":
         cols = matrix.columnar()
         if hasattr(item_posterior_fn, "batch_round") and not sampling_would_engage(
@@ -397,44 +370,7 @@ def run_bayesian_fusion(
             )
         # No batched form (e.g. a closure posterior) or sampling must
         # engage: the scalar reference path is the defined behaviour.
-        return _run_mapreduce(
-            matrix,
-            config,
-            item_posterior_fn,
-            method_name,
-            gold_labels,
-            track_rounds,
-            requested,
-            backend_used="serial (vectorized fallback)",
-        )
-    if requested in ("parallel", "hybrid"):
-        cols = matrix.columnar()
-        # Hybrid runs batched kernels per shard; without a batched form,
-        # or when per-item sampling must engage (batched kernels score
-        # whole rounds), it degrades to the scalar parallel shards —
-        # which handle canonical-order sampling themselves — never to
-        # the in-process serial reference.
-        hybrid = (
-            requested == "hybrid"
-            and hasattr(item_posterior_fn, "batch_round")
-            and not sampling_would_engage(cols, config)
-        )
-        backend_used = requested if hybrid or requested == "parallel" else (
-            "parallel (hybrid fallback)"
-        )
-        return _run_parallel_columnar(
-            matrix,
-            cols,
-            config,
-            item_posterior_fn,
-            method_name,
-            gold_labels,
-            track_rounds,
-            requested,
-            executor=executor,
-            hybrid=hybrid,
-            backend_used=backend_used,
-        )
+        backend_used = "serial (vectorized fallback)"
     return _run_mapreduce(
         matrix,
         config,
@@ -443,7 +379,7 @@ def run_bayesian_fusion(
         gold_labels,
         track_rounds,
         requested,
-        backend_used=requested,
+        backend_used=backend_used,
         executor=executor,
     )
 
@@ -462,7 +398,7 @@ def _run_mapreduce(
     """The scalar engine path (the serial reference)."""
     owns_executor = executor is None
     if executor is None:
-        executor = make_executor(config, backend_used)
+        executor = SerialExecutor()
     engine = MapReduceEngine(executor)
     default = config.default_accuracy
 
@@ -521,7 +457,6 @@ def _run_mapreduce(
             {
                 "fallbacks_tiny": executor.fallbacks_tiny,
                 "fallbacks_unpicklable": executor.fallbacks_unpicklable,
-                "fallbacks_shm": executor.fallbacks_shm,
             }
             if isinstance(executor, ParallelExecutor)
             else {}
@@ -565,7 +500,7 @@ def _finalize_scalar_result(
     round_probabilities: list[dict[Triple, float]] | None,
     diagnostics: dict,
 ) -> FusionResult:
-    """Stage III + result assembly, shared by the serial and columnar paths.
+    """Stage III + result assembly for the scalar path.
 
     Dedup by triple, applying the fallbacks for filtered items: scored
     triples keep their posterior; under the θ-filter an unscored triple
@@ -599,250 +534,6 @@ def _finalize_scalar_result(
         result.diagnostics["round_probabilities"] = round_probabilities
     result.validate()
     return result
-
-
-def _finalize_columnar_result(
-    cols: ColumnarClaims,
-    posteriors: dict[Triple, float],
-    accuracies: dict[ProvKey, float],
-    config: FusionConfig,
-    method_name: str,
-    rounds_run: int,
-    converged: bool,
-    round_probabilities: list[dict[Triple, float]] | None,
-    diagnostics: dict,
-) -> FusionResult:
-    """Stage III over the columns — no dict claim views required.
-
-    The column-native twin of :func:`_finalize_scalar_result` for inputs
-    that never built a record-backed ``ClaimMatrix`` (the out-of-core
-    path, where the dict views would cost gigabytes).  Value-identical
-    to the scalar version: rows are unique triples, a row's claim span
-    lists provenance ids ascending, and ascending provenance id *is*
-    ``sorted(provs)`` order because the provenance vocabulary is sorted
-    — so the θ-fallback mean sums in exactly the same order.
-    """
-    probabilities: dict[Triple, float] = {}
-    unpredicted: set[Triple] = set()
-    provenances = cols.provenances
-    claim_prov = cols.claim_prov
-    row_ptr = cols.row_ptr
-    for r, triple in enumerate(cols.triples):
-        if triple in posteriors:
-            probabilities[triple] = posteriors[triple]
-        elif config.min_accuracy is not None:
-            row_prov_ids = claim_prov[int(row_ptr[r]) : int(row_ptr[r + 1])].tolist()
-            probabilities[triple] = sum(
-                accuracies[provenances[p]] for p in row_prov_ids
-            ) / len(row_prov_ids)
-        else:
-            unpredicted.add(triple)
-
-    result = FusionResult(
-        method=method_name,
-        probabilities=probabilities,
-        unpredicted=unpredicted,
-        accuracies=accuracies,
-        rounds=rounds_run,
-        converged=converged,
-        diagnostics=diagnostics,
-    )
-    if round_probabilities is not None:
-        result.diagnostics["round_probabilities"] = round_probabilities
-    result.validate()
-    return result
-
-
-def _run_parallel_columnar(
-    matrix,
-    cols: ColumnarClaims,
-    config: FusionConfig,
-    item_posterior_fn: ItemPosteriorFn,
-    method_name: str,
-    gold_labels: dict[Triple, bool] | None,
-    track_rounds: bool,
-    requested: str,
-    executor: Executor | None = None,
-    hybrid: bool = False,
-    backend_used: str = "parallel",
-) -> FusionResult:
-    """The columnar-shuffle path (see :mod:`repro.fusion.shuffle`).
-
-    Accuracy state lives in a float64 array indexed by provenance id and
-    crosses to workers once per round on the executors' round-state
-    channel (shared-memory segments where available; the shard specs
-    carry only the tiny handle); the claim columns are pool-resident.
-    With ``hybrid=False`` workers run
-    the scalar posterior kernels over claims dicts rebuilt from the
-    columns — every float operation matches the serial reference
-    bit-for-bit, on fork and spawn pools alike, because the kernels sum
-    in canonical order (sampling included: the shards re-draw the
-    canonical-order subsets).  With ``hybrid=True`` workers run one
-    batched numpy kernel call per shard over a slice of the resident
-    columns — tolerance parity, scalar wall-clock divided by the worker
-    count.
-    """
-    owns_executor = executor is None
-    if executor is None:
-        executor = make_executor(config, "parallel")
-    shuffle.install_fusion_columns(executor, cols)
-
-    n_provs = len(cols.provenances)
-    accuracies = np.full(n_provs, config.default_accuracy, dtype=np.float64)
-    evaluated = np.zeros(n_provs, dtype=bool)
-
-    gold_initialized = 0
-    if gold_labels:
-        sampled = _gold_subsample(gold_labels, config.gold_sample_rate, config.seed)
-        for p in range(n_provs):
-            rows = cols.prov_rows[cols.prov_ptr[p] : cols.prov_ptr[p + 1]]
-            labels = [
-                sampled[cols.triples[r]] for r in rows if cols.triples[r] in sampled
-            ]
-            if labels:
-                accuracies[p] = sum(labels) / len(labels)
-                evaluated[p] = True
-                gold_initialized += 1
-
-    def active_mask(round_index: int) -> np.ndarray:
-        active = np.ones(n_provs, dtype=bool)
-        if config.filter_by_coverage and round_index > 0:
-            active &= evaluated
-        if config.min_accuracy is not None:
-            active &= accuracies >= config.min_accuracy
-        return active
-
-    posteriors: dict[Triple, float] = {}
-    round_probabilities: list[dict[Triple, float]] = []
-    rounds_run = 0
-    converged = False
-    try:
-        for round_index in range(config.max_rounds):
-            active = active_mask(round_index)
-            require_repeated = config.filter_by_coverage and round_index == 0
-            state1 = shuffle.install_stage1_state(executor, accuracies, active)
-            if hybrid:
-                job1 = shuffle.hybrid_stage1_job(
-                    "fusion.stage1",
-                    cols,
-                    item_posterior_fn,
-                    state1,
-                    require_repeated,
-                )
-            else:
-                job1 = shuffle.stage1_job(
-                    "fusion.stage1",
-                    cols,
-                    item_posterior_fn,
-                    state1,
-                    require_repeated,
-                    sample_limit=config.sample_limit,
-                    seed=config.seed,
-                )
-            per_item = executor.run_map(range(cols.n_items), job1)
-            posteriors, posteriors_arr, scored = shuffle.merge_stage1_outputs(
-                cols, per_item
-            )
-            state2 = shuffle.install_stage2_state(
-                executor, posteriors_arr, scored, active
-            )
-            if hybrid:
-                job2 = shuffle.hybrid_stage2_job("fusion.stage2", cols, state2)
-            else:
-                job2 = shuffle.stage2_job(
-                    "fusion.stage2",
-                    cols,
-                    state2,
-                    sample_limit=config.sample_limit,
-                    seed=config.seed,
-                )
-            new_accuracies = executor.run_map(range(n_provs), job2)
-            if hybrid and config.min_accuracy is not None:
-                # Keep every θ-filter decision bitwise: see THETA_RESCUE_BAND.
-                boundary = [
-                    p
-                    for p, accuracy in enumerate(new_accuracies)
-                    if accuracy is not None
-                    and abs(accuracy - config.min_accuracy) <= THETA_RESCUE_BAND
-                ]
-                if boundary:
-                    rescued = _exact_boundary_accuracies(
-                        cols, item_posterior_fn, accuracies, active, scored, boundary
-                    )
-                    for p, value in rescued.items():
-                        new_accuracies[p] = value
-            delta = 0.0
-            for p, accuracy in enumerate(new_accuracies):
-                if accuracy is None:
-                    continue
-                delta = max(delta, abs(accuracy - accuracies[p]))
-                accuracies[p] = accuracy
-                evaluated[p] = True
-            rounds_run = round_index + 1
-            if track_rounds:
-                round_probabilities.append(dict(posteriors))
-            if delta < config.convergence_tol:
-                converged = True
-                break
-        fallback_diagnostics = (
-            {
-                "fallbacks_tiny": executor.fallbacks_tiny,
-                "fallbacks_unpicklable": executor.fallbacks_unpicklable,
-                "fallbacks_shm": executor.fallbacks_shm,
-            }
-            if isinstance(executor, ParallelExecutor)
-            else {}
-        )
-        round_state_channel = getattr(executor, "round_state_channel", "in-process")
-    finally:
-        # Release the round's shared-memory segment even on a
-        # caller-managed executor (its close() would also do this, but a
-        # shared executor may outlive the fusion stage by a long time).
-        shuffle.uninstall_fusion_round_state(executor)
-        if owns_executor:
-            executor.close()
-
-    accuracies_out = {
-        prov: float(accuracies[p]) for p, prov in enumerate(cols.provenances)
-    }
-    diagnostics = {
-        "n_items": cols.n_items,
-        "n_provenances": n_provs,
-        "n_claims": cols.n_claims,
-        "gold_initialized": gold_initialized,
-        "n_active_final": int(active_mask(rounds_run).sum()),
-        "backend": requested,
-        "backend_used": backend_used,
-        "parity": parity_of(backend_used),
-        "sampling": sampling_contract_of(config),
-        "round_state": round_state_channel,
-        **fallback_diagnostics,
-    }
-    if isinstance(matrix, ColumnarClaimMatrix):
-        # Column-backed input (the out-of-core path): finalize straight
-        # from the columns so the dict claim views never materialise.
-        return _finalize_columnar_result(
-            cols=cols,
-            posteriors=posteriors,
-            accuracies=accuracies_out,
-            config=config,
-            method_name=method_name,
-            rounds_run=rounds_run,
-            converged=converged,
-            round_probabilities=round_probabilities if track_rounds else None,
-            diagnostics=diagnostics,
-        )
-    return _finalize_scalar_result(
-        matrix=matrix,
-        posteriors=posteriors,
-        accuracies=accuracies_out,
-        config=config,
-        method_name=method_name,
-        rounds_run=rounds_run,
-        converged=converged,
-        round_probabilities=round_probabilities if track_rounds else None,
-        diagnostics=diagnostics,
-    )
 
 
 def _run_vectorized(

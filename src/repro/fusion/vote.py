@@ -7,34 +7,26 @@ the Figure 8 pipeline, which is exactly how it is implemented here (through
 the MapReduce engine, so VOTE exercises the same dataflow as the Bayesian
 methods).
 
-Backends: ``serial`` runs the scalar reducers in-process; ``parallel``
-runs Stage I through the columnar shuffle (:mod:`repro.fusion.shuffle`) —
-pool-resident claim columns, integer-id shard payloads, bit-identical to
-serial on fork and spawn, including under canonical-order reducer-input
-sampling; ``vectorized`` computes all ``m/n`` ratios in one numpy pass
-over the columnar claim index; ``hybrid`` runs that batched kernel inside
-each parallel shard.  The vectorized path falls back to ``serial`` — and
-the hybrid path to the scalar ``parallel`` shards — when sampling would
-engage (batched kernels score whole rounds and cannot subset per item).
+Backends: ``serial`` runs the scalar reducers in-process; ``vectorized``
+computes all ``m/n`` ratios in one numpy pass over the columnar claim
+index, falling back to ``serial`` when sampling would engage (the batched
+kernel scores whole items and cannot subset per item).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.fusion import kernels, shuffle
+from repro.fusion import kernels
 from repro.fusion.base import Fuser, FusionResult, parity_of, sampling_contract_of
 from repro.fusion.observations import ColumnarClaims, FusionInput, ProvKey
 from repro.fusion.runner import (
     Stage1Reducer,
-    make_executor,
     sampling_would_engage,
     stage1_mapper,
     stage1_sample_key,
 )
 from repro.kb.triples import Triple
 from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
-from repro.mapreduce.executors import ParallelExecutor
+from repro.mapreduce.executors import SerialExecutor
 
 __all__ = ["vote_item_posteriors", "VoteKernel", "Vote"]
 
@@ -93,12 +85,6 @@ class Vote(Fuser):
             if not sampling_would_engage(cols, self.config, include_stage2=False):
                 return self._fuse_vectorized(cols)
             backend_used = "serial (vectorized fallback)"
-        elif self.config.backend in ("parallel", "hybrid"):
-            cols = matrix.columnar()
-            hybrid = self.config.backend == "hybrid" and not sampling_would_engage(
-                cols, self.config, include_stage2=False
-            )
-            return self._fuse_columnar(cols, executor, hybrid=hybrid)
         return self._fuse_mapreduce(matrix, backend_used)
 
     def _fuse_vectorized(self, cols: ColumnarClaims) -> FusionResult:
@@ -121,90 +107,8 @@ class Vote(Fuser):
         result.validate()
         return result
 
-    def _fuse_columnar(
-        self, cols: ColumnarClaims, executor=None, hybrid: bool = False
-    ) -> FusionResult:
-        """Stage I through the columnar shuffle.
-
-        Rows are already unique triples, so the serial path's Stage-III
-        dedup is structurally a no-op here: the per-row ``m/n`` ratios are
-        the final probabilities.  Scalar shards (``hybrid=False``) are
-        bit-identical to serial — sampling included, via the
-        canonical-order draw; hybrid shards run the batched ``m/n`` kernel
-        per shard at tolerance parity.
-        """
-        if hybrid:
-            backend_used = "hybrid"
-        elif self.config.backend == "hybrid":
-            backend_used = "parallel (hybrid fallback)"
-        else:
-            backend_used = "parallel"
-        owns_executor = executor is None
-        if executor is None:
-            executor = make_executor(self.config, "parallel")
-        shuffle.install_fusion_columns(executor, cols)
-        n_provs = len(cols.provenances)
-        state = shuffle.install_stage1_state(
-            executor,
-            np.zeros(n_provs, dtype=np.float64),
-            np.ones(n_provs, dtype=bool),
-        )
-        if hybrid:
-            job = shuffle.hybrid_stage1_job(
-                "vote.stage1",
-                cols,
-                VoteKernel(),
-                state,
-                require_repeated=False,
-            )
-        else:
-            job = shuffle.stage1_job(
-                "vote.stage1",
-                cols,
-                VoteKernel(),
-                state,
-                require_repeated=False,
-                sample_limit=self.config.sample_limit,
-                seed=self.config.seed,
-            )
-        try:
-            per_item = executor.run_map(range(cols.n_items), job)
-            fallback_diagnostics = (
-                {
-                    "fallbacks_tiny": executor.fallbacks_tiny,
-                    "fallbacks_unpicklable": executor.fallbacks_unpicklable,
-                    "fallbacks_shm": executor.fallbacks_shm,
-                }
-                if isinstance(executor, ParallelExecutor)
-                else {}
-            )
-            round_state_channel = getattr(
-                executor, "round_state_channel", "in-process"
-            )
-        finally:
-            shuffle.uninstall_fusion_round_state(executor)
-            if owns_executor:
-                executor.close()
-        probabilities, _arr, _scored = shuffle.merge_stage1_outputs(cols, per_item)
-        result = FusionResult(
-            method=self.name,
-            probabilities={t: float(p) for t, p in probabilities.items()},
-            rounds=0,
-            converged=True,
-            diagnostics={
-                "backend": self.config.backend,
-                "backend_used": backend_used,
-                "parity": parity_of(backend_used),
-                "sampling": sampling_contract_of(self.config),
-                "round_state": round_state_channel,
-                **fallback_diagnostics,
-            },
-        )
-        result.validate()
-        return result
-
     def _fuse_mapreduce(self, matrix, backend_used: str) -> FusionResult:
-        executor = make_executor(self.config, backend_used)
+        executor = SerialExecutor()
         engine = MapReduceEngine(executor)
 
         claims = [

@@ -19,7 +19,6 @@ from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
 from repro.mapreduce.executors import (
     Executor,
     ParallelExecutor,
-    RoundStateHandle,
     SerialExecutor,
     ShardedMapJob,
     worker_state,
@@ -32,7 +31,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
-    "RoundStateHandle",
     "ShardedMapJob",
     "WireCodec",
     "worker_state",

@@ -53,11 +53,10 @@ class MapReduceJob:
     contract*: when sampling engages for a key, its values are first
     sorted by this key, so the sampled subset is a function of the value
     *set* rather than the arrival order.  Jobs whose sampled subsets must
-    be reproducible by sharded backends that enumerate values in a
-    different (but canonically sortable) order — the fusion stages over
-    the columnar shuffle — must set it; ``None`` keeps the legacy
-    value-order draw.  The callable must be picklable (module-level) so
-    parallel reduce shards can apply it in workers.
+    not depend on record order — the fusion stages — must set it;
+    ``None`` keeps the legacy value-order draw.  The callable must be
+    picklable (module-level) so parallel reduce shards can apply it in
+    workers.
     """
 
     name: str

@@ -29,38 +29,21 @@ dataclasses; the fusion stages satisfy this).  When a reducer cannot be
 pickled — e.g. the closure-based reducers third-party extensions may pass —
 the parallel executor transparently falls back to in-process reduction and
 counts the event in ``fallbacks_unpicklable``; jobs too small for dispatch
-overhead to pay off are counted in ``fallbacks_tiny``; round-state installs
-that had to cross inline instead of through shared memory are counted in
-``fallbacks_shm`` (``fallbacks`` sums all three).
-
-**Per-round state.**  State that changes once per *round* but is read by
-every shard of that round (fusion's accuracy/posterior/active-mask
-vectors) gets its own channel: :meth:`install_round_state` places the
-round's arrays in ``multiprocessing.shared_memory`` segments and returns a
-tiny :class:`RoundStateHandle` — shard callables carry only the handle
-(segment name + array layout, a few hundred bytes) and resolve the arrays
-with ``handle.load()``, attaching each segment at most once per worker per
-round.  The buffers therefore cross the process boundary **zero** times
-(the parent writes them straight into shared memory once per round)
-instead of once per shard dispatch.  Where shared memory is unavailable
-the channel degrades to an inline pickled payload (counted in
-``fallbacks_shm``); in-process executors and fallback paths resolve the
-handle from the parent-side registry without any copy at all.
+overhead to pay off are counted in ``fallbacks_tiny`` (``fallbacks`` sums
+both).
 
 Besides the keyed map-reduce contract, executors also run *map-only* jobs
 (:class:`ShardedMapJob`): an order-insensitive map over keyed items,
 sharded by the same stable key hash, with outputs re-emitted in the input
 order.  This is the protocol the extraction stage runs on — each shard of
 pages is extracted in a worker and the parent reassembles the corpus-order
-record stream, bit-identical to the serial loop — and, since the columnar
-shuffle, the fusion stages as well (items are integer item/provenance ids
-into pool-resident columns; see :mod:`repro.fusion.shuffle`).
+record stream, bit-identical to the serial loop.
 
 **Pool-resident worker state.**  Heavyweight invariant objects (the
-extraction stage's 12-extractor fleet, fusion's columnar claim index) are
-*installed* on an executor via :meth:`install_state` and cross the process
-boundary exactly once per pool — through the pool initializer, on both
-``fork`` and ``spawn`` — instead of once per shard task.  Shard callables
+extraction stage's 12-extractor fleet) are *installed* on an executor via
+:meth:`install_state` and cross the process boundary exactly once per
+pool — through the pool initializer, on both ``fork`` and ``spawn`` —
+instead of once per shard task.  Shard callables
 fetch them back with :func:`worker_state`, which also resolves in-process
 (serial execution and fallback paths) because installs mirror into the
 parent's registry.  Installing new state after the pool has started
@@ -70,14 +53,12 @@ restarts the pool (once per pipeline stage, not per job); see
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import pickle
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 import numpy as np
@@ -89,7 +70,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
-    "RoundStateHandle",
     "ShardedMapJob",
     "shard_for_key",
     "map_serial",
@@ -106,7 +86,7 @@ __all__ = [
 # pool initializer; in the parent it mirrors whatever the executors running
 # in this process have installed, so the same shard callables work on the
 # serial path and on the parallel fallback paths.  Keys are namespaced by
-# producer ("extract.fleet", "fusion.columns"); later installs win.
+# producer (e.g. "extract.fleet"); later installs win.
 
 _WORKER_STATE: dict[str, Any] = {}
 
@@ -148,163 +128,6 @@ def _release_parent_state(installed: dict[str, Any], key: str) -> None:
         del _WORKER_STATE[key]
 
 
-# ---------------------------------------------------------------------------
-# Per-round state: shared-memory buffers behind a tiny picklable handle
-# ---------------------------------------------------------------------------
-# Round state (fusion's per-round accuracy/posterior/active vectors) changes
-# too often for the pool initializer (restarting the pool every round would
-# dwarf the work) but is identical across every shard of a round — so it
-# crosses through named shared-memory segments instead.  The parent writes
-# the arrays into a segment once per install; shard payloads carry only a
-# RoundStateHandle (segment name + array layout), and each worker attaches
-# the segment at most once per generation.  Generations are globally unique
-# (one process-wide counter), so caches never confuse two executors reusing
-# the same key.
-
-_ROUND_GENERATIONS = itertools.count(1)
-
-#: Per-process cache of resolved round state: key -> (generation, arrays,
-#: attached SharedMemory or None).  In the parent it is filled directly by
-#: ``install_round_state`` (zero-copy); in a worker, lazily by
-#: :meth:`RoundStateHandle.load`.
-_ROUND_CACHE: dict[str, tuple[int, dict[str, np.ndarray], Any]] = {}
-
-#: Segment offsets are padded to this alignment so every array view is
-#: safely aligned for its dtype.
-_SHM_ALIGN = 16
-
-
-def _evict_round_cache(key: str) -> None:
-    """Drop one cached round state, unmapping its segment if attached."""
-    cached = _ROUND_CACHE.pop(key, None)
-    if cached is None:
-        return
-    _generation, arrays, shm = cached
-    if shm is not None:
-        arrays.clear()  # release the buffer views before unmapping
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - a view escaped; GC will unmap
-            pass
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach an existing segment; the parent owns its lifecycle.
-
-    The parent unlinks every segment it created (on the next install and
-    on ``close()``).  Python 3.13+ exposes ``track=False`` so the attach
-    leaves no tracker registration at all; on older versions the
-    attach-side registration lands in the process tree's *shared*
-    resource tracker, where it is an idempotent duplicate of the parent's
-    create-side registration and is removed by the parent's ``unlink()``.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: track= does not exist yet
-        return shared_memory.SharedMemory(name=name)
-
-
-@dataclass(frozen=True)
-class _ShmArraySpec:
-    """Where one named array lives inside a round-state segment."""
-
-    key: str
-    dtype: str
-    shape: tuple[int, ...]
-    offset: int
-
-
-@dataclass(frozen=True)
-class RoundStateHandle:
-    """A tiny picklable reference to one round's array state.
-
-    Exactly one of three channels backs it:
-
-    - ``segment`` — the arrays live in a named shared-memory segment;
-      ``load()`` attaches it (once per worker per generation) and returns
-      read-only zero-copy views.
-    - ``inline`` — the pickled-fallback path: the arrays ride pickled
-      inside the handle itself (so inside the job spec, as before shared
-      memory existed); still decoded at most once per worker per
-      generation.
-    - neither — parent-resident only (``SerialExecutor``, and the
-      in-process resolution every handle also supports): ``load()`` hits
-      the parent-side cache without any copy.
-    """
-
-    key: str
-    generation: int
-    segment: str | None = None
-    layout: tuple[_ShmArraySpec, ...] = ()
-    inline: bytes | None = None
-
-    def load(self) -> dict[str, np.ndarray]:
-        """Resolve the round's arrays, attaching/decoding at most once."""
-        cached = _ROUND_CACHE.get(self.key)
-        if cached is not None and cached[0] == self.generation:
-            return cached[1]
-        _evict_round_cache(self.key)
-        if self.segment is not None:
-            shm = _attach_segment(self.segment)
-            arrays: dict[str, np.ndarray] = {}
-            for spec in self.layout:
-                view = np.ndarray(
-                    spec.shape,
-                    dtype=np.dtype(spec.dtype),
-                    buffer=shm.buf,
-                    offset=spec.offset,
-                )
-                view.setflags(write=False)
-                arrays[spec.key] = view
-            _ROUND_CACHE[self.key] = (self.generation, arrays, shm)
-        elif self.inline is not None:
-            # Same read-only contract as the shared-memory views, so a
-            # shard that writes into round state fails identically on
-            # every channel instead of only on multi-core hosts.
-            arrays = _readonly_views(pickle.loads(self.inline))
-            _ROUND_CACHE[self.key] = (self.generation, arrays, None)
-        else:
-            raise RuntimeError(
-                f"round state {self.key!r} (generation {self.generation}) is "
-                "parent-resident only and cannot be resolved in this process"
-            )
-        return arrays
-
-
-def _readonly_views(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Read-only views sharing each array's memory (originals untouched).
-
-    Every channel hands shards the same contract: writing into round
-    state raises, whether the arrays came from shared memory, the inline
-    fallback, or the parent-side registry — while the installer's own
-    arrays stay writable (the fusion runner updates its accuracy vector
-    in place between rounds).
-    """
-    views: dict[str, np.ndarray] = {}
-    for key, array in arrays.items():
-        view = array.view()
-        view.setflags(write=False)
-        views[key] = view
-    return views
-
-
-def _round_segment_layout(
-    arrays: dict[str, np.ndarray]
-) -> tuple[tuple[_ShmArraySpec, ...], int]:
-    """Aligned per-array offsets plus total segment size, computed once.
-
-    The single source of truth for both the segment allocation and the
-    write loop, so the two can never disagree about where an array lives.
-    """
-    layout: list[_ShmArraySpec] = []
-    offset = 0
-    for key, array in arrays.items():
-        offset = -(-offset // _SHM_ALIGN) * _SHM_ALIGN
-        layout.append(_ShmArraySpec(key, array.dtype.str, array.shape, offset))
-        offset += array.nbytes
-    return tuple(layout), max(offset, 1)
-
-
 def map_and_shuffle(records: Iterable[Any], mapper: Callable) -> dict[Any, list]:
     """The map phase plus grouping (insertion-ordered value lists)."""
     groups: dict[Any, list] = {}
@@ -324,10 +147,7 @@ def sample_positions(
     on ``(seed, name, repr(key))`` and ``n_values`` — never on where the
     values live — so any backend that can enumerate a key's values *in the
     same order* reproduces the same subset bit-for-bit.  The fusion stages
-    pin that order to the canonical (sorted) one via ``sample_key``; the
-    columnar shard workers re-draw these positions against the
-    pool-resident columns (whose layout *is* the canonical order) instead
-    of falling back to serial.
+    pin that order to the canonical (sorted) one via ``sample_key``.
     """
     if sample_limit is None or n_values <= sample_limit:
         return None
@@ -351,8 +171,7 @@ def sample_values(
     which no sharded backend can reproduce.  With ``sample_key`` the values
     are put in canonical order before the positional draw, making the
     sampled subset a property of the key's value *set*: any backend that
-    enumerates the same values canonically (the columnar shuffle does, by
-    construction of its sorted CSR layout) picks the identical subset.
+    enumerates the same values canonically picks the identical subset.
     """
     positions = sample_positions(len(values), key, name, sample_limit, seed)
     if positions is None:
@@ -490,14 +309,9 @@ class Executor(Protocol):
     :class:`ShardedMapJob` (outputs in input order).  ``install_state``
     makes a heavyweight invariant object available to shard callables via
     :func:`worker_state` (crossing the process boundary once per pool, or
-    not at all for in-process execution).  ``install_round_state`` is the
-    faster-changing channel: it publishes one round's numpy arrays (via
-    shared memory where available) and returns the
-    :class:`RoundStateHandle` shard callables resolve them with — the
-    arrays cross once per round, never per shard.  ``close()`` releases
-    any held resources (worker pools, installed state, shared-memory
-    segments); it must be safe to call repeatedly and on executors that
-    never ran a job.
+    not at all for in-process execution).  ``close()`` releases any held
+    resources (worker pools, installed state); it must be safe to call
+    repeatedly and on executors that never ran a job.
     """
 
     def run(self, records: Iterable[Any], job) -> list[Any]: ...
@@ -508,12 +322,6 @@ class Executor(Protocol):
 
     def uninstall_state(self, key: str) -> None: ...
 
-    def install_round_state(
-        self, key: str, arrays: dict[str, np.ndarray]
-    ) -> RoundStateHandle: ...
-
-    def uninstall_round_state(self, key: str) -> None: ...
-
     def close(self) -> None: ...
 
 
@@ -522,13 +330,8 @@ class SerialExecutor:
 
     name = "serial"
 
-    #: In-process executors resolve round state straight from the parent
-    #: registry; nothing ever crosses a process boundary.
-    round_state_channel = "in-process"
-
     def __init__(self) -> None:
         self._installed: dict[str, Any] = {}
-        self._round_installed: dict[str, int] = {}
 
     def run(self, records: Iterable[Any], job) -> list[Any]:
         return reduce_serial(map_and_shuffle(records, job.mapper), job)
@@ -545,28 +348,9 @@ class SerialExecutor:
         """Drop ``key`` from the registry (no-op if absent)."""
         _release_parent_state(self._installed, key)
 
-    def install_round_state(
-        self, key: str, arrays: dict[str, np.ndarray]
-    ) -> RoundStateHandle:
-        """Register one round's arrays parent-side (zero copy, no segment)."""
-        generation = next(_ROUND_GENERATIONS)
-        _evict_round_cache(key)
-        _ROUND_CACHE[key] = (generation, _readonly_views(arrays), None)
-        self._round_installed[key] = generation
-        return RoundStateHandle(key=key, generation=generation)
-
-    def uninstall_round_state(self, key: str) -> None:
-        """Drop this executor's round state under ``key`` (no-op if absent)."""
-        generation = self._round_installed.pop(key, None)
-        cached = _ROUND_CACHE.get(key)
-        if generation is not None and cached is not None and cached[0] == generation:
-            _evict_round_cache(key)
-
     def close(self) -> None:
         for key in list(self._installed):
             _release_parent_state(self._installed, key)
-        for key in list(self._round_installed):
-            self.uninstall_round_state(key)
 
     def __enter__(self) -> "SerialExecutor":
         return self
@@ -585,17 +369,13 @@ class ParallelExecutor:
     method (``"fork"``/``"spawn"``/``"forkserver"``; None prefers fork
     where available — cheapest pool start, and installed state is
     inherited by memory copy).  The pool is created lazily and reused
-    across jobs (fusion runs many rounds through one executor); call
+    across jobs (one extraction run dispatches many chunks); call
     :meth:`close` or use the executor as a context manager to release it.
 
     State installed with :meth:`install_state` reaches workers through the
     pool initializer; installing *after* the pool has started restarts it
     so new workers see the full registry — once per pipeline stage, never
-    per shard.  Per-round state (:meth:`install_round_state`) never
-    restarts the pool: it crosses through shared-memory segments workers
-    attach lazily (``use_shared_memory=False``, or a failing
-    ``multiprocessing.shared_memory``, degrades it to an inline pickled
-    payload, counted per install in ``fallbacks_shm``).
+    per shard.
     """
 
     name = "parallel"
@@ -605,58 +385,23 @@ class ParallelExecutor:
         max_workers: int | None = None,
         min_keys: int = 2,
         start_method: str | None = None,
-        use_shared_memory: bool = True,
     ) -> None:
         self.max_workers = max_workers or max(2, os.cpu_count() or 1)
         self.min_keys = min_keys
         self.start_method = start_method
-        self.use_shared_memory = use_shared_memory
         self.fallbacks_tiny = 0  # jobs too small for dispatch to pay off
         self.fallbacks_unpicklable = 0  # jobs whose work unit cannot pickle
-        self.fallbacks_shm = 0  # round-state installs that crossed inline
         self.state_bytes_shipped = 0  # cumulative pickled install payloads
         self._pool: ProcessPoolExecutor | None = None
         self._state_blobs: dict[str, bytes] = {}
         self._installed: dict[str, Any] = {}
         self._unpicklable_state: set[str] = set()
-        self._round_segments: dict[str, shared_memory.SharedMemory] = {}
-        self._round_installed: dict[str, int] = {}
 
     @property
     def fallbacks(self) -> int:
         """Total degraded events despite the parallel backend: jobs that
-        ran in-process (tiny or unpicklable) plus round-state installs
-        that crossed inline rather than through shared memory."""
-        return (
-            self.fallbacks_tiny
-            + self.fallbacks_unpicklable
-            + self.fallbacks_shm
-        )
-
-    @property
-    def state_bytes(self) -> int:
-        """Pickled bytes of the currently installed pool-resident state.
-
-        What a pool (re)start ships to *each* worker.  The out-of-core
-        tier's headline: memory-mapped claim columns install as a
-        ~kilobyte :class:`~repro.artifacts.ColumnHandle` here where the
-        in-memory columns would ship megabytes per worker
-        (``state_bytes_shipped`` accumulates the same quantity across
-        the executor's whole life).
-        """
-        return sum(len(blob) for blob in self._state_blobs.values())
-
-    @property
-    def round_state_channel(self) -> str:
-        """How this executor's round state crosses to workers.
-
-        ``"shared-memory"`` when every install so far went through a
-        segment; ``"inline (shm fallback)"`` once any install had to ride
-        pickled inside the shard specs instead.
-        """
-        if self.fallbacks_shm > 0 or not self.use_shared_memory:
-            return "inline (shm fallback)"
-        return "shared-memory"
+        ran in-process (tiny or unpicklable)."""
+        return self.fallbacks_tiny + self.fallbacks_unpicklable
 
     def install_state(self, key: str, value: Any) -> None:
         """Make ``value`` pool-resident under ``key``.
@@ -701,81 +446,6 @@ class ParallelExecutor:
         _release_parent_state(self._installed, key)
         self._state_blobs.pop(key, None)
         self._unpicklable_state.discard(key)
-
-    def install_round_state(
-        self, key: str, arrays: dict[str, np.ndarray]
-    ) -> RoundStateHandle:
-        """Publish one round's arrays; returns the handle shards carry.
-
-        The arrays are written into a fresh shared-memory segment (the
-        previous round's segment under ``key`` is unlinked first, so at
-        most one segment per key is ever live) and the returned handle
-        names it — shard payloads stay a few hundred bytes no matter how
-        many provenances the round tracks.  The live arrays are also
-        cached parent-side so the in-process fallback paths resolve the
-        handle with zero copies.  Arrays must not be mutated between the
-        install and the last job that reads the handle (the next install
-        snapshots them afresh).
-
-        When shared memory is unavailable the handle carries the arrays
-        pickled inline instead — they ride in the job spec as they did
-        before this channel existed — and the degrade is counted in
-        ``fallbacks_shm``.
-        """
-        arrays = {k: np.ascontiguousarray(v) for k, v in arrays.items()}
-        generation = next(_ROUND_GENERATIONS)
-        self._release_round_segment(key)
-        handle: RoundStateHandle | None = None
-        if self.use_shared_memory:
-            layout, size = _round_segment_layout(arrays)
-            try:
-                segment = shared_memory.SharedMemory(create=True, size=size)
-            except Exception:
-                # No usable /dev/shm (or equivalent): degrade for the rest
-                # of this executor's life rather than probing every round.
-                self.use_shared_memory = False
-            else:
-                for spec in layout:
-                    np.ndarray(
-                        spec.shape,
-                        dtype=np.dtype(spec.dtype),
-                        buffer=segment.buf,
-                        offset=spec.offset,
-                    )[...] = arrays[spec.key]
-                self._round_segments[key] = segment
-                handle = RoundStateHandle(
-                    key=key,
-                    generation=generation,
-                    segment=segment.name,
-                    layout=layout,
-                )
-        if handle is None:
-            self.fallbacks_shm += 1
-            handle = RoundStateHandle(
-                key=key, generation=generation, inline=pickle.dumps(arrays)
-            )
-        _evict_round_cache(key)
-        _ROUND_CACHE[key] = (generation, _readonly_views(arrays), None)
-        self._round_installed[key] = generation
-        return handle
-
-    def uninstall_round_state(self, key: str) -> None:
-        """Unlink ``key``'s segment and drop its parent cache entry."""
-        self._release_round_segment(key)
-        generation = self._round_installed.pop(key, None)
-        cached = _ROUND_CACHE.get(key)
-        if generation is not None and cached is not None and cached[0] == generation:
-            _evict_round_cache(key)
-
-    def _release_round_segment(self, key: str) -> None:
-        segment = self._round_segments.pop(key, None)
-        if segment is None:
-            return
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - a parent view escaped
-            pass
-        segment.unlink()
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -877,8 +547,6 @@ class ParallelExecutor:
             self._pool = None
         for key in list(self._installed):
             _release_parent_state(self._installed, key)
-        for key in list(self._round_installed) + list(self._round_segments):
-            self.uninstall_round_state(key)
         self._state_blobs.clear()
         self._unpicklable_state.clear()
 

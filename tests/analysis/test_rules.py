@@ -196,7 +196,7 @@ class TestDET003Payload:
         snippet = (
             "from dataclasses import dataclass\n"
             "from typing import Callable\n"
-            "from repro.mapreduce.executors import RoundStateHandle\n"
+            "from repro.artifacts import ColumnHandle\n"
             "@dataclass(frozen=True)\n"
             "class Stage1Shard:\n"
             "    name: str\n"
@@ -204,7 +204,7 @@ class TestDET003Payload:
             "    seed: int\n"
             "    sample_limit: int | None\n"
             "    kernel: Callable\n"
-            "    state: RoundStateHandle\n"
+            "    columns: ColumnHandle\n"
         )
         assert _rules_fired({PAYLOAD_PATH: snippet}, DET003) == []
 
@@ -243,12 +243,12 @@ class TestDET004Shm:
         )
         assert _rules_fired({ANY_PATH: snippet}, DET004) == []
 
-    def test_bad_round_state_key_mismatch(self):
+    def test_bad_install_state_key_mismatch(self):
         snippet = (
-            "def setup(executor, buffers):\n"
-            "    executor.install_round_state(ROUND_KEY, buffers)\n"
+            "def setup(executor, fleet):\n"
+            "    executor.install_state(FLEET_KEY, fleet)\n"
             "def teardown(executor):\n"
-            "    executor.uninstall_round_state(OTHER_KEY)\n"
+            "    executor.uninstall_state(OTHER_KEY)\n"
         )
         assert _rules_fired({ANY_PATH: snippet}, DET004) == ["DET004"]
 

@@ -32,7 +32,6 @@ def make_envelope(**overrides) -> dict:
         "report": {
             "bit_identical": True,
             "hybrid_parity": "tolerance",
-            "round_state": "shared-memory",
             "n_pages": 2500,
             "n_records": 36842,
             "best_of": {"serial.fusion": 1.0, "serial.extraction": 2.0},
@@ -397,7 +396,7 @@ class TestScaleQualifiedStems:
         assert baseline["scale"] == "web"
         contracts = baseline["contracts"]
         assert contracts["hybrid_parity"] == "tolerance"
-        assert contracts["round_state"] == "shared-memory"
+        assert "round_state" not in contracts
         assert contracts["n_records"] > 1_000_000
         assert contracts["n_pages"] > 70_000
         assert "hybrid.total" in baseline["stages"]

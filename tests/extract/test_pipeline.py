@@ -258,3 +258,40 @@ class TestBackends:
             for record in grouped.get(page.url, [])
         ]
         assert records == expected
+
+
+@pytest.mark.parallel_backend
+class TestPayloadPurity:
+    def test_extraction_shards_carry_no_extractor_objects(
+        self, micro_scenario, monkeypatch
+    ):
+        """The fleet is pool-resident: shard payloads hold pages only."""
+        import pickle
+
+        from repro.extract.base import Extractor
+        from repro.mapreduce import executors
+        from repro.mapreduce.codec import scan_payload_types
+        from repro.mapreduce.executors import ParallelExecutor
+
+        recorded = []
+        original = executors.ProcessPoolExecutor.submit
+
+        def spy(pool_self, fn, *args, **kwargs):
+            recorded.append(args)
+            return original(pool_self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(executors.ProcessPoolExecutor, "submit", spy)
+        with ParallelExecutor(max_workers=2) as executor:
+            micro_scenario.pipeline.run(
+                micro_scenario.corpus, backend="parallel", executor=executor
+            )
+        assert recorded, "no shard tasks were dispatched"
+        for args in recorded:
+            spec_bytes, _shard = args
+            types = scan_payload_types(pickle.loads(spec_bytes))
+            offenders = [
+                t.__name__ for t in types if issubclass(t, Extractor)
+            ]
+            assert not offenders, (
+                f"extraction spec still ships the fleet: {offenders}"
+            )

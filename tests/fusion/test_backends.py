@@ -1,19 +1,23 @@
-"""Backend regression tests: serial / parallel / vectorized fusion.
+"""Backend regression tests: serial / vectorized fusion.
 
 The contract, tested on real seeded scenarios:
 
-- ``parallel`` is **bit-identical** to ``serial`` on every start method
-  (the columnar shuffle runs the same scalar kernels, which sum in
-  canonical order, so worker hash randomization cannot leak into the
-  floats — see tests/fusion/test_columnar_shuffle.py for the full
-  worker-count × start-method matrix);
-- ``vectorized`` matches ``serial`` to 1e-9 (summation order differs);
-- backends that cannot engage (closure posteriors, sampling pressure)
-  fall back to the serial reference and still produce correct results.
+- ``serial`` is the bitwise reference, and stays **bit-identical** when
+  the caller hands ``Fuser.fuse`` a process-pool executor (the scalar
+  reducers sum in canonical order, so worker hash randomization cannot
+  leak into the floats);
+- ``vectorized`` matches ``serial`` to 1e-9 (summation order differs),
+  on ``micro`` and on the ``small`` scenario;
+- when ``vectorized`` cannot engage (closure posteriors, sampling
+  pressure) it falls back to the serial reference, bit for bit;
+- the removed pooled backend names are rejected with a typed error.
 """
+
+from dataclasses import fields
 
 import pytest
 
+from repro.datasets import build_scenario, small_config
 from repro.errors import ConfigError
 from repro.fusion import (
     BACKENDS,
@@ -26,6 +30,7 @@ from repro.fusion import (
 )
 from repro.fusion.popaccu import popaccu_item_posteriors
 from repro.fusion.runner import run_bayesian_fusion
+from repro.mapreduce.executors import ParallelExecutor
 
 
 def assert_identical(result_a, result_b):
@@ -50,31 +55,41 @@ def assert_close(result_a, result_b, tol=1e-9):
     assert result_a.converged == result_b.converged
 
 
+def fuse_on_pool(fuser, fusion_input, n_workers=2):
+    """Run ``fuser`` with a caller-managed process pool as its executor."""
+    with ParallelExecutor(max_workers=n_workers) as executor:
+        return fuser.fuse(fusion_input, executor=executor)
+
+
 @pytest.mark.parallel_backend
 class TestParallelDeterminism:
+    """A caller-supplied process pool runs the serial path's reduces in
+    workers; the output stays bit-identical to the in-process run."""
+
     def test_popaccu_bit_identical(self, micro_scenario):
         fusion_input = micro_scenario.fusion_input()
         serial = popaccu(backend="serial").fuse(fusion_input)
-        parallel = popaccu(backend="parallel").fuse(fusion_input)
-        assert parallel.diagnostics["backend_used"] == "parallel"
-        assert_identical(serial, parallel)
+        pooled = fuse_on_pool(popaccu(backend="serial"), fusion_input)
+        assert pooled.diagnostics["backend_used"] == "serial"
+        assert pooled.diagnostics["fallbacks_unpicklable"] == 0
+        assert_identical(serial, pooled)
 
     def test_popaccu_plus_bit_identical(self, micro_scenario):
-        """Same-seed POPACCU+ (all refinements + gold) across backends."""
+        """Same-seed POPACCU+ (all refinements + gold) across executors."""
         fusion_input = micro_scenario.fusion_input()
         serial = popaccu_plus(micro_scenario.gold, backend="serial").fuse(
             fusion_input
         )
-        parallel = popaccu_plus(micro_scenario.gold, backend="parallel").fuse(
-            fusion_input
+        pooled = fuse_on_pool(
+            popaccu_plus(micro_scenario.gold, backend="serial"), fusion_input
         )
-        assert_identical(serial, parallel)
+        assert_identical(serial, pooled)
 
     def test_vote_bit_identical(self, micro_scenario):
         fusion_input = micro_scenario.fusion_input()
         assert_identical(
             vote(backend="serial").fuse(fusion_input),
-            vote(backend="parallel").fuse(fusion_input),
+            fuse_on_pool(vote(backend="serial"), fusion_input),
         )
 
 
@@ -129,6 +144,28 @@ class TestVectorizedParity:
         vectorized = popaccu(backend="vectorized").fuse(fusion_input)
         for key in ("n_items", "n_provenances", "n_claims", "n_active_final"):
             assert vectorized.diagnostics[key] == serial.diagnostics[key], key
+
+
+class TestThetaBoundaryRescue:
+    def test_vectorized_small_within_tolerance(self):
+        """Regression for the latent θ-flip divergence: before the
+        boundary rescue, batched Stage-II drift flipped ``A(S) >= θ``
+        decisions on the ``small`` scenario (POPACCU valleys park many
+        accuracies exactly at θ = 0.5) and the vectorized backend drifted
+        to O(1) probability differences.  With the rescue, every active
+        set matches serial and tolerance parity holds at scale."""
+        scenario = build_scenario(small_config(seed=0))
+        fusion_input = scenario.fusion_input()
+        serial = popaccu_plus(scenario.gold, backend="serial").fuse(fusion_input)
+        vectorized = popaccu_plus(scenario.gold, backend="vectorized").fuse(
+            fusion_input
+        )
+        assert vectorized.diagnostics["backend_used"] == "vectorized"
+        assert (
+            vectorized.diagnostics["n_active_final"]
+            == serial.diagnostics["n_active_final"]
+        )
+        assert_close(serial, vectorized)
 
 
 class TestFallbacks:
@@ -195,16 +232,23 @@ def run_popaccu_tracked(backend, fusion_input):
 
 class TestConfigSurface:
     def test_backend_constants(self):
-        assert BACKENDS == ("serial", "parallel", "vectorized", "hybrid")
+        assert BACKENDS == ("serial", "vectorized")
         assert FusionConfig().backend == "serial"
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(ConfigError):
             FusionConfig(backend="gpu")
 
+    @pytest.mark.parametrize("backend", ["parallel", "hybrid"])
+    def test_removed_pooled_backends_rejected(self, backend):
+        with pytest.raises(ConfigError, match="backend must be one of"):
+            FusionConfig(backend=backend)
+
     def test_invalid_n_workers_rejected(self):
-        with pytest.raises(ConfigError):
-            FusionConfig(n_workers=0)
+        """Fusion runs in-process: there is no worker knob to set."""
+        assert "n_workers" not in {f.name for f in fields(FusionConfig)}
+        with pytest.raises(TypeError):
+            FusionConfig(n_workers=2)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_presets_thread_backend(self, backend):

@@ -1,20 +1,20 @@
 """The canonical-order reducer-input sampling contract (the paper's L).
 
-Sampling used to be defined positionally over each key's value *arrival
-order* — a property of the scalar dataflow no sharded backend could
-reproduce, so any ``L`` that engaged silently degraded the parallel
-backend to the in-process serial reference.  The contract now: when
-sampling engages, a key's values are put in canonical (sorted) order
-before the deterministic positional draw (``MapReduceJob.sample_key``;
-``sample_positions`` in the executors).  Consequences, each tested here:
+When sampling engages, a key's values are put in canonical (sorted)
+order before the deterministic positional draw
+(``MapReduceJob.sample_key``; ``sample_positions`` in the executors).
+Consequences, each tested here:
 
 1. Sampled subsets are a function of the value *set* — serial output is
    invariant under extraction-record shuffling even when L engages.
-2. The columnar shard workers re-draw identical subsets against the
-   pool-resident columns, so ``L``-sampled parallel runs are
-   **bit-identical** to serial at every worker count and start method —
-   and the old ``"serial (parallel fallback)"`` diagnostic never fires.
-3. The contract is tagged in ``diagnostics["sampling"]``
+2. A process-pool executor handed to ``Fuser.fuse`` draws identical
+   subsets in its reduce workers, so ``L``-sampled runs on a pool are
+   **bit-identical** to the in-process run at every worker count and
+   start method.
+3. The batched ``vectorized`` backend cannot subset per item, so an
+   ``L``-sampled request runs the serial reference instead — reported as
+   ``"serial (vectorized fallback)"`` and bit-identical to ``serial``.
+4. The contract is tagged in ``diagnostics["sampling"]``
    (``"canonical-order"`` whenever L is configured).
 """
 
@@ -22,7 +22,15 @@ import random
 
 import pytest
 
-from repro.fusion import FusionConfig, FusionInput, accu, popaccu, popaccu_plus
+from repro.fusion import (
+    FusionConfig,
+    FusionInput,
+    accu,
+    popaccu,
+    popaccu_plus,
+    vote,
+)
+from repro.fusion.runner import sampling_would_engage
 from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
 from repro.mapreduce.executors import ParallelExecutor, sample_positions
 
@@ -32,6 +40,12 @@ START_METHODS = ("fork", "spawn")
 #: Small enough that both Stage-I items and Stage-II provenances exceed it
 #: on the micro scenario, so sampling genuinely engages in both stages.
 TINY_L = 2
+
+
+def fuse_on_pool(fuser, fusion_input, n_workers=2):
+    """Run ``fuser`` with a caller-managed process pool as its executor."""
+    with ParallelExecutor(max_workers=n_workers) as executor:
+        return fuser.fuse(fusion_input, executor=executor)
 
 
 def assert_bit_identical(serial, other):
@@ -110,33 +124,33 @@ class TestSampledParallelParity:
         with ParallelExecutor(
             max_workers=n_workers, start_method=start_method
         ) as executor:
-            parallel = popaccu_plus(
-                micro_scenario.gold, config, backend="parallel"
+            pooled = popaccu_plus(
+                micro_scenario.gold, config, backend="serial"
             ).fuse(fusion_input, executor=executor)
             assert executor.fallbacks_unpicklable == 0
-        assert parallel.diagnostics["backend_used"] == "parallel"
-        assert parallel.diagnostics["parity"] == "bitwise"
-        assert_bit_identical(serial, parallel)
+        assert pooled.diagnostics["backend_used"] == "serial"
+        assert pooled.diagnostics["parity"] == "bitwise"
+        assert_bit_identical(serial, pooled)
 
     def test_accu_sampled_bit_identical(self, micro_scenario):
         fusion_input = micro_scenario.fusion_input()
         config = FusionConfig(sample_limit=TINY_L)
         serial = accu(config, backend="serial").fuse(fusion_input)
-        parallel = accu(config, backend="parallel").fuse(fusion_input)
-        assert parallel.diagnostics["backend_used"] == "parallel"
-        assert_bit_identical(serial, parallel)
+        pooled = fuse_on_pool(accu(config, backend="serial"), fusion_input)
+        assert_bit_identical(serial, pooled)
 
     def test_fallback_diagnostic_never_fires_under_sampling(
         self, micro_scenario
     ):
-        """The acceptance criterion verbatim: no ``"serial (parallel
-        fallback)"`` tag on a sampled parallel run."""
+        """Sampled reduces really run in the pool workers: the sampling
+        key pickles, so no job falls back in-process."""
         fusion_input = micro_scenario.fusion_input()
-        result = popaccu(
-            FusionConfig(sample_limit=TINY_L, backend="parallel")
-        ).fuse(fusion_input)
+        result = fuse_on_pool(
+            popaccu(FusionConfig(sample_limit=TINY_L, backend="serial")),
+            fusion_input,
+        )
         assert "fallback" not in result.diagnostics["backend_used"]
-        assert result.diagnostics["backend_used"] == "parallel"
+        assert result.diagnostics["fallbacks_unpicklable"] == 0
         assert result.diagnostics["sampling"] == "canonical-order"
 
     def test_sampling_tag_reflects_config(self, micro_scenario):
@@ -167,7 +181,26 @@ class TestSampledShuffleInvariance:
         ).fuse(micro_scenario.fusion_input())
         shuffled = list(micro_scenario.records)
         random.Random(3).shuffle(shuffled)
-        parallel = popaccu(
-            FusionConfig(sample_limit=TINY_L, backend="parallel")
-        ).fuse(FusionInput(shuffled))
-        assert_bit_identical(serial, parallel)
+        pooled = fuse_on_pool(
+            popaccu(FusionConfig(sample_limit=TINY_L, backend="serial")),
+            FusionInput(shuffled),
+        )
+        assert_bit_identical(serial, pooled)
+
+
+class TestSampledVectorizedFallback:
+    @pytest.mark.parametrize("preset", [vote, popaccu], ids=lambda f: f.__name__)
+    def test_sampled_vectorized_runs_serial_bitwise(self, micro_scenario, preset):
+        """An L-sampled ``vectorized`` request reports its fallback and
+        equals ``serial`` bit for bit."""
+        fusion_input = micro_scenario.fusion_input()
+        cols = fusion_input.claims(preset().config.granularity).columnar()
+        config = FusionConfig(sample_limit=TINY_L)
+        assert sampling_would_engage(cols, config, include_stage2=False)
+        serial = preset(config, backend="serial").fuse(fusion_input)
+        vectorized = preset(config, backend="vectorized").fuse(fusion_input)
+        assert (
+            vectorized.diagnostics["backend_used"] == "serial (vectorized fallback)"
+        )
+        assert vectorized.diagnostics["parity"] == "bitwise"
+        assert_bit_identical(serial, vectorized)

@@ -73,3 +73,26 @@ class TestScaleInvariance:
             )
             base = metrics_for(results["VOTE"].probabilities, scenario.gold)
             assert plus.auc_pr > base.auc_pr
+
+
+class TestPipelineBackends:
+    @pytest.mark.parallel_backend
+    def test_parallel_matches_serial_bitwise(self):
+        """Pipeline ``parallel`` shards extraction over a pool and fuses
+        in-process with the serial reference: bit-identical to
+        ``serial`` end to end."""
+        from repro.datasets import tiny_config
+        from repro.endtoend import run_end_to_end
+
+        serial = run_end_to_end(tiny_config(seed=7), backend="serial")
+        parallel = run_end_to_end(
+            tiny_config(seed=7), backend="parallel", n_workers=2
+        )
+        assert parallel.scenario.records == serial.scenario.records
+        assert parallel.fusion.probabilities == serial.fusion.probabilities
+        assert parallel.fusion.accuracies == serial.fusion.accuracies
+        assert parallel.fusion.unpredicted == serial.fusion.unpredicted
+        assert parallel.metrics == serial.metrics
+        assert parallel.diagnostics["backend_used"] == "serial"
+        assert parallel.diagnostics["parity"] == "bitwise"
+        assert parallel.diagnostics["n_workers"] == 2

@@ -114,8 +114,7 @@ class TestFallbacks:
         executor = ParallelExecutor(max_workers=2)
         executor.fallbacks_tiny = 2
         executor.fallbacks_unpicklable = 3
-        executor.fallbacks_shm = 4
-        assert executor.fallbacks == 9
+        assert executor.fallbacks == 5
 
 
 def _square_shard(items):

@@ -136,25 +136,12 @@ class TestCLIFuse:
         assert "backend used:  serial" in out
         assert "coverage:" in out
 
-    @pytest.mark.parallel_backend
-    def test_fuse_parallel_reports_fallback_diagnostics(self, capsys):
-        assert (
-            main(["fuse", "popaccu+", "--scale", "tiny", "--seed", "7",
-                  "--backend", "parallel", "--workers", "2"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "backend:       parallel" in out
-        assert "backend used:  parallel" in out
-        assert "fallbacks:" in out and "unpicklable" in out
-
-    @pytest.mark.parallel_backend
     def test_fuse_backend_round_trip_identical_summary(self, capsys):
         """Numbers lines (rounds/triples/coverage/mean) must agree across
-        every backend — serial, parallel, vectorized, hybrid (the
-        tolerance backends' 1e-9 drift vanishes at 4-decimal display)."""
+        both backends (vectorized's 1e-9 tolerance drift vanishes at
+        4-decimal display)."""
         summaries = {}
-        for backend in ("serial", "parallel", "vectorized", "hybrid"):
+        for backend in ("serial", "vectorized"):
             assert (
                 main(["fuse", "popaccu", "--scale", "tiny", "--seed", "7",
                       "--backend", backend])
@@ -166,25 +153,33 @@ class TestCLIFuse:
                 if line.startswith(("rounds:", "triples:", "unpredicted:",
                                     "coverage:", "mean p(true):"))
             ]
-        assert summaries["serial"] == summaries["parallel"]
         assert summaries["serial"] == summaries["vectorized"]
-        assert summaries["serial"] == summaries["hybrid"]
 
-    @pytest.mark.parallel_backend
-    def test_fuse_hybrid_reports_tolerance_parity(self, capsys):
+    def test_fuse_vectorized_reports_tolerance_parity(self, capsys):
         assert (
             main(["fuse", "popaccu+", "--scale", "tiny", "--seed", "7",
-                  "--backend", "hybrid", "--workers", "2"])
+                  "--backend", "vectorized"])
             == 0
         )
         out = capsys.readouterr().out
-        assert "backend:       hybrid" in out
-        assert "backend used:  hybrid" in out
+        assert "backend:       vectorized" in out
+        assert "backend used:  vectorized" in out
         assert "parity:        tolerance" in out
+        assert "fallbacks:" not in out
 
     def test_fuse_invalid_workers_exits_2(self, capsys):
-        assert main(["fuse", "popaccu", "--workers", "0"]) == 2
+        """Fusion runs in-process, so ``fuse`` takes no ``--workers``."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuse", "popaccu", "--workers", "2"])
+        assert exit_info.value.code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["parallel", "hybrid"])
+    def test_fuse_removed_backends_exit_2(self, backend, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuse", "popaccu", "--backend", backend])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_fuse_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
@@ -211,6 +206,8 @@ class TestCLIPipeline:
         out = capsys.readouterr().out
         assert "method:        VOTE" in out
         assert "backend:       parallel" in out
+        assert "backend used:  serial" in out
+        assert "parity:        bitwise" in out
         assert "workers:       2" in out
         assert "fallbacks:" in out and "tiny" in out and "unpicklable" in out
 
@@ -243,7 +240,7 @@ class TestCLIPipeline:
         )
         out = capsys.readouterr().out
         assert "backend:       hybrid" in out
-        assert "backend used:  hybrid" in out
+        assert "backend used:  vectorized" in out
         assert "parity:        tolerance" in out
         assert "workers:       2" in out
 
