@@ -251,7 +251,10 @@ def _dump_world(world: World) -> bytes:
     The pools are a lazily-filled cache (each entry deterministic in
     ``(master_seed, item)``), so clearing keeps the artifact independent
     of how much of the cache corpus generation happened to populate —
-    the reloaded world re-derives identical pools on demand.
+    the reloaded world re-derives identical pools on demand.  The other
+    lazy indexes (``World._string_index``, ``EntityRegistry``'s
+    ``of_type`` memo) are not fields, so the field-only pickler never
+    sees them.
     """
     pools = world._wrong_pools
     world._wrong_pools = {}

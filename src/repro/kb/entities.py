@@ -47,6 +47,12 @@ class EntityRegistry:
     _by_type: dict[str, list[str]] = field(default_factory=dict)
     _by_surface: dict[str, list[str]] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Memoised :meth:`of_type` results; :meth:`add` drops the entries
+        # it makes stale.  Not a field, so the artifact pickler (fields
+        # only) leaves it out of ``world.pkl``.
+        self._of_type_cache: dict[str, tuple[Entity, ...]] = {}
+
     def add(self, entity: Entity) -> Entity:
         if entity.entity_id in self._by_id:
             raise SchemaError(f"duplicate entity {entity.entity_id}")
@@ -55,6 +61,7 @@ class EntityRegistry:
         self._by_id[entity.entity_id] = entity
         for type_id in entity.type_ids:
             self._by_type.setdefault(type_id, []).append(entity.entity_id)
+            self._of_type_cache.pop(type_id, None)
         for form in entity.surface_forms():
             bucket = self._by_surface.setdefault(form, [])
             if entity.entity_id not in bucket:
@@ -82,7 +89,11 @@ class EntityRegistry:
 
     def of_type(self, type_id: str) -> list[Entity]:
         """Entities belonging to ``type_id``, in insertion order."""
-        return [self._by_id[eid] for eid in self._by_type.get(type_id, [])]
+        members = self._of_type_cache.get(type_id)
+        if members is None:
+            members = tuple(self._by_id[eid] for eid in self._by_type.get(type_id, []))
+            self._of_type_cache[type_id] = members
+        return list(members)
 
     def candidates_for(self, surface: str) -> list[Entity]:
         """Entities whose name or alias equals ``surface``.

@@ -76,6 +76,11 @@ class World:
         default_factory=dict, repr=False
     )
 
+    # Lazy ``(strings, positions)`` index over the string truths, built by
+    # :meth:`_string_truths`.  A plain class attribute, not a field: the
+    # artifact pickler ships fields only, so ``world.pkl`` never holds it.
+    _string_index = None
+
     # ------------------------------------------------------------------
     # Truth queries
     # ------------------------------------------------------------------
@@ -202,20 +207,49 @@ class World:
             year = min(max(year, 1850), 2013)
             return DateValue(f"{year:04d}-{month:02d}-{day:02d}")
         # STRING: any other word from the same literal vocabulary would be
-        # ideal; lacking the vocab here, perturb by suffix or reuse another
-        # item's truth of the same predicate.
+        # ideal; lacking the vocab here, reuse a string truth of any item
+        # and any predicate whose text differs, or perturb by suffix when
+        # every string truth has this text.
         for truth in truths:
             if isinstance(truth, StringValue):
-                peers = [
-                    v
-                    for vs in self.truths.values()
-                    for v in vs
-                    if isinstance(v, StringValue) and v.text != truth.text
-                ]
-                if peers:
-                    return peers[int(rng.integers(len(peers)))]
-                return StringValue(truth.text + "s")
+                return self._string_peer(truth.text, rng)
         return StringValue(f"unknown-{int(rng.integers(1_000_000))}")
+
+    def _string_truths(self) -> tuple[list[StringValue], dict[str, list[int]]]:
+        """Every string truth in ``truths`` order, and each text's positions.
+
+        Built on first use and kept: ``truths`` never changes after
+        :func:`~repro.world.worldgen.generate_world`, the same assumption
+        the wrong-value pools rest on.
+        """
+        if self._string_index is None:
+            strings = [
+                v for vs in self.truths.values() for v in vs if isinstance(v, StringValue)
+            ]
+            positions: dict[str, list[int]] = {}
+            for position, value in enumerate(strings):
+                positions.setdefault(value.text, []).append(position)
+            self._string_index = (strings, positions)
+        return self._string_index
+
+    def _string_peer(self, text: str, rng: np.random.Generator) -> StringValue:
+        """A uniformly drawn string truth whose text is not ``text``.
+
+        Draws the same index into the same sequence as filtering every
+        string truth by text and indexing the survivors: the k-th survivor
+        sits at ``k + j``, where ``j`` counts the excluded positions before
+        it in the sorted position list.
+        """
+        strings, positions = self._string_truths()
+        excluded = positions.get(text, ())
+        n_peers = len(strings) - len(excluded)
+        if not n_peers:
+            return StringValue(text + "s")
+        k = int(rng.integers(n_peers))
+        j = 0
+        while j < len(excluded) and excluded[j] <= k + j:
+            j += 1
+        return strings[k + j]
 
     def draw_wrong_value(
         self, item: DataItem, rng: np.random.Generator, popular: bool

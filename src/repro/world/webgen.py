@@ -188,22 +188,31 @@ def _make_sites(
 # ---------------------------------------------------------------------------
 # Assertion construction
 # ---------------------------------------------------------------------------
-def _pick_entities(
-    world: World,
-    site: SiteProfile,
-    rng: np.random.Generator,
-    max_entities: int,
-) -> list[Entity]:
+def _entity_pool(
+    world: World, topic_types: tuple[str, ...]
+) -> tuple[list[Entity], np.ndarray | None]:
+    """The entities a site with ``topic_types`` writes about, and their
+    popularity-weighted pick probabilities (``None`` when there are none)."""
     pool: list[Entity] = []
     weights: list[float] = []
-    for type_id in site.topic_types:
+    for type_id in topic_types:
         for entity in world.entities.of_type(type_id):
             pool.append(entity)
             weights.append(world.popularity.get(entity.entity_id, 1e-9))
     if not pool:
-        return []
+        return pool, None
     probs = np.array(weights)
-    probs = probs / probs.sum()
+    return pool, probs / probs.sum()
+
+
+def _pick_entities(
+    pool: list[Entity],
+    probs: np.ndarray | None,
+    rng: np.random.Generator,
+    max_entities: int,
+) -> list[Entity]:
+    if not pool:
+        return []
     n = int(rng.integers(1, max_entities + 1))
     n = min(n, len(pool))
     picked = rng.choice(len(pool), size=n, replace=False, p=probs)
@@ -586,6 +595,9 @@ def _corpus_pages(
     probs = probs / probs.sum()
     page_sites = rng.choice(len(domains), size=config.n_pages, p=probs)
     page_counter: dict[str, int] = {}
+    # Sites sharing a topic set share one entity pool; the world is fixed
+    # for the run, so each pool is built once.
+    entity_pools: dict[tuple[str, ...], tuple[list[Entity], np.ndarray | None]] = {}
 
     for page_index in range(config.n_pages):
         domain = domains[int(page_sites[page_index])]
@@ -613,7 +625,11 @@ def _corpus_pages(
                         )
                     )
 
-        entities = _pick_entities(world, site, rng, config.max_entities_per_page)
+        if site.topic_types not in entity_pools:
+            entity_pools[site.topic_types] = _entity_pool(world, site.topic_types)
+        entities = _pick_entities(
+            *entity_pools[site.topic_types], rng, config.max_entities_per_page
+        )
         budget = 1 + int(rng.geometric(1.0 / config.facts_per_page_mean))
         fresh_budget = max(0, budget - len(assertions))
         subject_items: list[DataItem] = []

@@ -68,6 +68,17 @@ class TestRegistry:
         assert [e.entity_id for e in people] == ["/m/1"]
         assert registry.of_type("no/such") == []
 
+    def test_of_type_sees_entities_added_after_a_lookup(self, registry):
+        assert registry.of_type("no/such") == []
+        registry.of_type("people/person")
+        registry.add(Entity("/m/4", ("people/person", "no/such"), "Nicole Kidman"))
+        assert [e.entity_id for e in registry.of_type("people/person")] == ["/m/1", "/m/4"]
+        assert [e.entity_id for e in registry.of_type("no/such")] == ["/m/4"]
+
+    def test_of_type_returns_a_list_the_caller_owns(self, registry):
+        registry.of_type("people/person").clear()
+        assert [e.entity_id for e in registry.of_type("people/person")] == ["/m/1"]
+
     def test_candidates_for_unambiguous_name(self, registry):
         assert [e.entity_id for e in registry.candidates_for("Tom Cruise")] == ["/m/1"]
 

@@ -204,3 +204,34 @@ class TestDownstreamBitIdentity:
         assert isinstance(warm.corpus.pages, artifacts.LazyPageList)
         assert warm.records == cold.records
         assert warm.gold == cold.gold
+
+
+class TestWorldPickle:
+    """``world.pkl`` holds the world's fields only, never its lazy caches."""
+
+    def test_dump_is_independent_of_lazy_caches(self):
+        from repro.datasets import tiny_config
+        from repro.world.facts import build_freebase_snapshot
+        from repro.world.webgen import generate_corpus
+        from repro.world.worldgen import generate_world
+
+        config = tiny_config(seed=7)
+        world = generate_world(config.world, config.seed)
+        assert world._string_index is None and not world._wrong_pools
+        before = artifacts._dump_world(world)
+        build_freebase_snapshot(world)
+        generate_corpus(world, config.web, config.seed)
+        assert world._string_index is not None and world._wrong_pools
+        assert world.entities._of_type_cache
+        assert artifacts._dump_world(world) == before
+
+    def test_world_keeps_the_constructor_pickle_path(self):
+        import dataclasses
+
+        from repro.kb.entities import EntityRegistry
+        from repro.world.facts import World
+
+        for cls in (World, EntityRegistry):
+            names = tuple(field.name for field in dataclasses.fields(cls))
+            assert artifacts._fast_fields(cls) == names
+        assert artifacts._fast_fields(World)[-1] == "_wrong_pools"
